@@ -66,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one scenario file")
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("./out"))
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument(
+        "--seed", type=int, default=None,
+        help="override the scenario's seed label; dispatch uses no RNG, so no output changes",
+    )
 
     p_exp = sub.add_parser("experiment", help="run a built-in study")
     p_exp.add_argument("id", choices=EXPERIMENT_IDS)

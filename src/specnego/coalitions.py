@@ -86,12 +86,17 @@ class ParamRegistry:
     """A PU-coalition coordinator's live table of member parameters.
 
     Only declared members may register; entries hold the latest snapshot
-    (no history).
+    (no history). An instance is one registry version: ``register_params``
+    returns a new one, and ``entries`` must not be mutated in place.
     """
 
     coordinator_id: str
     members: tuple[str, ...]
     entries: dict[str, RegistryEntry] = field(default_factory=dict)
+    # best_offer's winner per weights tuple; every new instance starts empty
+    _best: dict[tuple[float, ...], Offer | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(sorted(self.members)))
@@ -122,8 +127,16 @@ def best_offer(
 
     Members advertising zero channels are excluded before ranking (an
     unusable offer must not win on price or allocation time). Returns None
-    when no member has channels available.
+    when no member has channels available. The result is memoized per
+    registry instance and weights: TOPSIS runs on the first call only.
     """
+    key = tuple(weights)
+    if key not in registry._best:
+        registry._best[key] = _select_offer(registry, key)
+    return registry._best[key]
+
+
+def _select_offer(registry: ParamRegistry, weights: tuple[float, ...]) -> Offer | None:
     candidates = [
         (pu_id, entry)
         for pu_id in registry.members
@@ -137,7 +150,7 @@ def best_offer(
         scores=tuple(
             (entry.channels, entry.price, entry.alloc_time) for _, entry in candidates
         ),
-        weights=tuple(weights),
+        weights=weights,
         senses=CRITERIA_SENSES,
     )
     winner_id, winner = candidates[topsis(matrix).ranking[0]]

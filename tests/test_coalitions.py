@@ -1,10 +1,13 @@
 """Coalition formation and parameter-registry tests."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import oracle_topsis
+import specnego.coalitions
 from specnego import (
     ParamRegistry,
     Zone,
@@ -180,3 +183,63 @@ class TestBestOffer:
             best_offer(registry_of(members), WEIGHTS).pu_id
             == best_offer(registry_of(scaled), WEIGHTS).pu_id
         )
+
+
+CHANNEL_HEAVY = (0.8, 0.1, 0.1)
+MEMO_MEMBERS = ("a", "b", "c", "d")
+
+
+class TestBestOfferMemo:
+    def test_topsis_runs_once_per_registry_and_weights(self, monkeypatch):
+        calls = []
+        real_topsis = specnego.coalitions.topsis
+        monkeypatch.setattr(
+            specnego.coalitions, "topsis", lambda m: calls.append(m) or real_topsis(m)
+        )
+        registry = registry_of([("a", 3, 5.0, 30.0), ("b", 5, 9.0, 45.0)])
+        offers = [best_offer(registry, WEIGHTS) for _ in range(3)]
+        assert len(calls) == 1 and offers[0] == offers[1] == offers[2]
+        best_offer(registry, list(CHANNEL_HEAVY))
+        best_offer(registry, CHANNEL_HEAVY)
+        assert len(calls) == 2
+        best_offer(register_params(registry, "a", 3, 5.0, 30.0, 1.0), WEIGHTS)
+        assert len(calls) == 3
+
+    def test_alternating_weights_keep_their_own_winners(self):
+        registry = registry_of([("cheap", 1, 5.0, 30.0), ("wide", 8, 9.0, 30.0)])
+        for _ in range(2):
+            assert best_offer(registry, WEIGHTS).pu_id == "cheap"
+            assert best_offer(registry, CHANNEL_HEAVY).pu_id == "wide"
+
+    def test_replace_starts_with_an_empty_memo(self):
+        registry = registry_of([("a", 3, 5.0, 30.0), ("b", 5, 9.0, 45.0)])
+        assert best_offer(registry, WEIGHTS).pu_id == "a"
+        entries = dict(registry.entries)
+        entries["a"] = replace(entries["a"], channels=0)
+        assert best_offer(replace(registry, entries=entries), WEIGHTS).pu_id == "b"
+        assert best_offer(replace(registry, entries={}), WEIGHTS) is None
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(MEMO_MEMBERS),
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from((5.0, 7.5, 10.0)),
+                st.sampled_from((30.0, 60.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_memo_matches_fresh_registry(self, updates):
+        registry = ParamRegistry("cpu0", MEMO_MEMBERS)
+        for t, (pu_id, channels, price, alloc_time) in enumerate(updates):
+            previous = registry
+            registry = register_params(registry, pu_id, channels, price, alloc_time, float(t))
+            fresh = ParamRegistry("cpu0", MEMO_MEMBERS, dict(registry.entries))
+            expected = {w: best_offer(fresh, w) for w in (WEIGHTS, CHANNEL_HEAVY)}
+            for w in (WEIGHTS, CHANNEL_HEAVY, WEIGHTS, CHANNEL_HEAVY):
+                assert best_offer(registry, w) == expected[w]
+            # replace() must not inherit the winners memoized on previous
+            assert best_offer(replace(previous, entries=registry.entries), WEIGHTS) == expected[WEIGHTS]
