@@ -40,9 +40,8 @@ def form_coalitions(
     ties by ascending coordinator id). An override map wins verbatim but
     must reference known ids and cover every agent exactly once.
     """
-    agent_ids = [aid for aid, _ in agents]
-
     if override is not None:
+        agent_ids = {aid for aid, _ in agents}
         coordinator_ids = {cid for cid, _ in coordinators}
         membership: Membership = {cid: [] for cid, _ in coordinators}
         assigned: set[str] = set()
@@ -57,7 +56,7 @@ def form_coalitions(
                     raise ValueError(f"override assigns agent {mid!r} twice")
                 assigned.add(mid)
                 membership[cid].append(mid)
-        missing = sorted(set(agent_ids) - assigned)
+        missing = sorted(agent_ids - assigned)
         if missing:
             raise ValueError(f"override leaves agents unassigned: {missing}")
         return {cid: sorted(members) for cid, members in membership.items()}

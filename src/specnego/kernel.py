@@ -6,6 +6,9 @@ are delivered exactly at t + d + latency. Two wake/delivery events at the
 same time dispatch in insertion order (strictly increasing ``seq``), which
 makes every run bit-reproducible: no wall clock, no RNG, no unordered
 iteration anywhere in dispatch.
+
+Event records (:class:`SimEvent`, :class:`LoggedEvent`) are NamedTuples so that
+they stay cheap: a run builds one or two of them per event.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .coalitions import ParamRegistry, RegistryEntry
 from .model import Scenario, validate
@@ -49,8 +53,12 @@ DELIVER = "Deliver"
 AGENT_WAKE = "AgentWake"
 
 
-@dataclass(frozen=True)
-class SimEvent:
+# Wire name of each message kind. Read on every delivery, where ``kind.value``
+# would be an enum descriptor call.
+_WIRE_NAMES: dict[MessageKind, str] = {kind: kind.value for kind in MessageKind}
+
+
+class SimEvent(NamedTuple):
     """A scheduled occurrence: message delivery or an agent wake-up."""
 
     time: float
@@ -60,8 +68,7 @@ class SimEvent:
     agent_id: str | None = None
 
 
-@dataclass(frozen=True)
-class LoggedEvent:
+class LoggedEvent(NamedTuple):
     """One dispatched event as recorded in the run's event log."""
 
     time: float
@@ -148,20 +155,17 @@ class World:
                     self.plan.cpu_of_pu[pu.id],
                     PuParams(pu.channels, pu.price, pu.alloc_time),
                 )
-                self._push(SimEvent(0.0, self._next_seq(), DELIVER, message=message))
+                self._schedule(0.0, DELIVER, message=message)
                 self.sent += 1
         for su in scenario.sus:
-            self._push(
-                SimEvent(su.arrival_time, self._next_seq(), AGENT_WAKE, agent_id=su.id)
-            )
+            self._schedule(su.arrival_time, AGENT_WAKE, agent_id=su.id)
 
-    def _next_seq(self) -> int:
+    def _schedule(
+        self, time: float, kind: str, message: Message | None = None, agent_id: str | None = None
+    ) -> None:
         seq = self._seq
-        self._seq += 1
-        return seq
-
-    def _push(self, event: SimEvent) -> None:
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, SimEvent(time, seq, kind, message, agent_id)))
 
     @property
     def pending(self) -> int:
@@ -172,33 +176,28 @@ class World:
         if not self._queue:
             raise ValueError("step on an empty event queue")
         time, _, event = heapq.heappop(self._queue)
+        _, seq, kind, message, agent_id = event
         self.clock = time
         self.dispatched += 1
 
-        if event.kind == DELIVER:
-            message = event.message
-            self.event_log.append(
-                LoggedEvent(
-                    time, event.seq, DELIVER, message.sender, message.recipient,
-                    message.kind.value,
-                )
-            )
-            self.msg_counts[message.kind.value] += 1
-            self.delivered += 1
-            state = self.states.get(message.recipient)
-            if state is None:
-                raise ValueError(f"delivery to unknown agent {message.recipient!r}")
-            result = handle(state, message, time, self.ctx)
+        if kind == DELIVER:
             agent_id = message.recipient
-        else:
+            wire_name = _WIRE_NAMES[message.kind]
             self.event_log.append(
-                LoggedEvent(time, event.seq, AGENT_WAKE, event.agent_id, event.agent_id, None)
+                LoggedEvent(time, seq, DELIVER, message.sender, agent_id, wire_name)
             )
-            state = self.states.get(event.agent_id)
+            self.msg_counts[wire_name] += 1
+            self.delivered += 1
+            state = self.states.get(agent_id)
             if state is None:
-                raise ValueError(f"wake for unknown agent {event.agent_id!r}")
+                raise ValueError(f"delivery to unknown agent {agent_id!r}")
+            result = handle(state, message, time, self.ctx)
+        else:
+            self.event_log.append(LoggedEvent(time, seq, AGENT_WAKE, agent_id, agent_id, None))
+            state = self.states.get(agent_id)
+            if state is None:
+                raise ValueError(f"wake for unknown agent {agent_id!r}")
             result = handle_wake(state, time, self.ctx)
-            agent_id = event.agent_id
 
         self._apply(state, result.state, agent_id)
         if result.violation is not None:
@@ -212,11 +211,8 @@ class World:
             self.capacities[allocation.offer.pu_id] = remaining
             self.allocations.append(allocation)
         for message, delay in result.sends:
-            self.sent += 1
-            self._push(
-                SimEvent(time + delay + self.scenario.timing.latency,
-                         self._next_seq(), DELIVER, message=message)
-            )
+            self._schedule(time + delay + self.scenario.timing.latency, DELIVER, message)
+        self.sent += len(result.sends)
         return self
 
     def _apply(self, old_state, new_state, agent_id: str) -> None:

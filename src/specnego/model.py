@@ -238,14 +238,14 @@ def validate(scenario: Scenario) -> list[str]:
             "memberships.cpu",
             scenario.memberships.cpu,
             {c.id for c in scenario.cpu_coordinators},
-            [p.id for p in scenario.pus],
+            {p.id for p in scenario.pus},
             out,
         )
         _check_override(
             "memberships.csu",
             scenario.memberships.csu,
             {c.id for c in scenario.csu_coordinators},
-            [s.id for s in scenario.sus],
+            {s.id for s in scenario.sus},
             out,
         )
 
@@ -256,22 +256,21 @@ def _check_override(
     path: str,
     override: dict[str, tuple[str, ...]] | None,
     coordinator_ids: set[str],
-    member_ids: list[str],
+    member_ids: set[str],
     out: list[str],
 ) -> None:
     if override is None:
         return
-    assigned: list[str] = []
+    counts: dict[str, int] = {}
     for cid, members in override.items():
         if cid not in coordinator_ids:
             out.append(f"{path}: unknown coordinator {cid!r}")
         for mid in members:
             if mid not in member_ids:
                 out.append(f"{path}[{cid!r}]: unknown member {mid!r}")
-            assigned.append(mid)
-    counts = {mid: assigned.count(mid) for mid in set(assigned)}
+            counts[mid] = counts.get(mid, 0) + 1
     for mid in sorted(m for m, c in counts.items() if c > 1):
         out.append(f"{path}: member {mid!r} assigned to more than one coordinator")
-    missing = sorted(set(member_ids) - set(assigned))
+    missing = sorted(member_ids - counts.keys())
     for mid in missing:
         out.append(f"{path}: member {mid!r} not assigned to any coordinator")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .coalitions import Membership, ParamRegistry, best_offer, form_coalitions, register_params
 from .model import CRITERIA_SENSES, CRITERION_LABELS, Offer, Scenario, TimingConstants
@@ -93,23 +93,19 @@ class CoordinatorReply:
     demand_ref: str | None = None
 
 
-def _payload_ok(kind: MessageKind, payload: object) -> bool:
-    if kind is MessageKind.PARAM_UPDATE:
-        return isinstance(payload, PuParams)
-    if kind in (MessageKind.SU_REQUEST, MessageKind.CFP_SINGLE):
-        return isinstance(payload, Demand)
-    if kind is MessageKind.CFP:
-        return isinstance(payload, tuple) and all(isinstance(d, Demand) for d in payload)
-    if kind is MessageKind.CPU_OFFER:
-        return isinstance(payload, CoordinatorReply) and payload.offer is not None
-    if kind is MessageKind.CPU_NO_OFFER:
-        return isinstance(payload, CoordinatorReply) and payload.offer is None
-    if kind is MessageKind.SU_REPLY:
-        return payload is None or isinstance(payload, Offer)
-    return False
+# The payload check of each message kind.
+_PAYLOAD_RULES: dict[MessageKind, Callable[[object], bool]] = {
+    MessageKind.PARAM_UPDATE: lambda p: isinstance(p, PuParams),
+    MessageKind.SU_REQUEST: lambda p: isinstance(p, Demand),
+    MessageKind.CFP: lambda p: isinstance(p, tuple) and all(isinstance(d, Demand) for d in p),
+    MessageKind.CFP_SINGLE: lambda p: isinstance(p, Demand),
+    MessageKind.CPU_OFFER: lambda p: isinstance(p, CoordinatorReply) and p.offer is not None,
+    MessageKind.CPU_NO_OFFER: lambda p: isinstance(p, CoordinatorReply) and p.offer is None,
+    MessageKind.SU_REPLY: lambda p: p is None or isinstance(p, Offer),
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A typed, addressed protocol message."""
 
@@ -121,7 +117,11 @@ class Message:
     def __post_init__(self) -> None:
         if self.sender == self.recipient:
             raise ValueError(f"message from {self.sender!r} to itself")
-        if not _payload_ok(self.kind, self.payload):
+        # A plain string hashes and compares like its wire name, so it would
+        # find that kind's rule in the table; only members are kinds.
+        if not isinstance(self.kind, MessageKind):
+            raise ValueError(f"message kind {self.kind!r} is not a MessageKind")
+        if not _PAYLOAD_RULES[self.kind](self.payload):
             raise ValueError(f"payload {self.payload!r} does not match kind {self.kind.value}")
 
 
@@ -508,7 +508,18 @@ def _handle_su(
         offers = state.offers + ((reply.offer,) if reply.offer is not None else ())
         seen = state.replies_seen + 1
         if seen < state.expected_replies:
-            return HandlerResult(state=replace(state, offers=offers, replies_seen=seen))
+            # The constructor, not dataclasses.replace (twice its cost): this
+            # runs once per reply.
+            return HandlerResult(state=SecondaryUserState(
+                agent_id=me,
+                channels_requested=state.channels_requested,
+                arrival_time=state.arrival_time,
+                phase=state.phase,
+                expected_replies=state.expected_replies,
+                replies_seen=seen,
+                offers=offers,
+                completed_at=state.completed_at,
+            ))
         # Final reply: rank locally and take the best feasible offer.
         ranked = rank_offers(offers, ctx.weights)
         allocations, _unserved = assign_offers(

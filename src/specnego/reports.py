@@ -8,6 +8,8 @@ round-trip form); CSV uses ``,`` separators and ``.`` decimal points.
 from __future__ import annotations
 
 import json
+from functools import cache
+from math import isfinite
 from pathlib import Path
 
 from .experiments import KIND_COLUMNS, MetricsTable
@@ -50,21 +52,18 @@ def render_metrics_csv(report: RunReport) -> str:
 
 
 def render_events_jsonl(report: RunReport) -> str:
-    lines = []
-    for event in report.event_log:
-        lines.append(
-            json.dumps(
-                {
-                    "time": event.time,
-                    "seq": event.seq,
-                    "kind": event.kind,
-                    "from": event.sender,
-                    "to": event.recipient,
-                    "payload_kind": event.payload_kind,
-                },
-                separators=(",", ":"),
-            )
-        )
+    """One compact JSON object per event, byte for byte what ``json.dumps`` writes.
+
+    Each distinct string (agent id, kind, payload kind) is JSON-encoded once
+    per render; a finite time is its ``repr``, as ``json`` writes it.
+    """
+    enc = cache(json.dumps)
+    lines = [
+        f'{{"time":{repr(time) if isfinite(time) else json.dumps(time)},"seq":{seq},'
+        f'"kind":{enc(kind)},"from":{enc(sender)},"to":{enc(recipient)},'
+        f'"payload_kind":{enc(payload_kind)}}}'
+        for time, seq, kind, sender, recipient, payload_kind in report.event_log
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

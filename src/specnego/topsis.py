@@ -11,6 +11,7 @@ or verified stage by stage; :func:`topsis` composes them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -69,12 +70,12 @@ class DecisionMatrix:
             if len(row) != n:
                 raise ValueError(f"score row {i} has {len(row)} entries, expected {n}")
             for j, x in enumerate(row):
-                if not np.isfinite(x):
+                if not math.isfinite(x):
                     raise ValueError(f"score[{i}][{j}] is not finite: {x}")
         if len(self.weights) != n:
             raise ValueError(f"expected {n} weights, got {len(self.weights)}")
         for j, w in enumerate(self.weights):
-            if not np.isfinite(w) or w <= 0.0:
+            if not math.isfinite(w) or w <= 0.0:
                 raise ValueError(f"weight[{j}] must be a positive finite number, got {w}")
         if len(self.senses) != n:
             raise ValueError(f"expected {n} senses, got {len(self.senses)}")

@@ -4,7 +4,18 @@ import json
 
 import pytest
 
-from specnego import MembershipOverride, generate_scenario, run, topsis, validate
+from specnego import (
+    MembershipOverride,
+    PrimaryUser,
+    Scenario,
+    SecondaryUser,
+    TimingConstants,
+    Zone,
+    generate_scenario,
+    run,
+    topsis,
+    validate,
+)
 from specnego.charts import render_chart
 from specnego.experiments import MetricsTable, experiment_spec, run_experiment
 from specnego.matrix_io import closeness_csv, parse_matrix_csv
@@ -212,6 +223,50 @@ class TestReportExports:
         assert render_allocations_csv(report).strip().splitlines() == [
             "su_id,pu_id,cpu_id,granted_channels,offer_channels,price,alloc_time"
         ]
+
+    @pytest.mark.parametrize("scenario", [
+        # agent ids that JSON must escape: quote, backslash, tab, non-ASCII
+        Scenario(
+            topology="no_coalition",
+            pus=(PrimaryUser('pu"q', Zone(0, 0), 2, 10.0, 60.0),
+                 PrimaryUser("pu\\b", Zone(1, 0), 0, 12.0, 30.0)),
+            sus=(SecondaryUser("su\t1", Zone(0, 1), 1, 0.0),
+                 SecondaryUser("su\u00e9", Zone(0, 2), 1, 5.0),
+                 SecondaryUser("su\u96ea", Zone(0, 3), 2, 5.0)),
+        ),
+        # times json writes specially: -0.0, and a sum that overflows to inf
+        Scenario(
+            topology="no_coalition",
+            pus=(PrimaryUser("pu0", Zone(0, 0), 2, 10.0, 60.0),),
+            sus=(SecondaryUser("su0", Zone(0, 1), 1, -0.0),
+                 SecondaryUser("su1", Zone(0, 2), 1, 1e308)),
+            timing=TimingConstants(latency=1e308),
+        ),
+    ], ids=["escaped_ids", "special_times"])
+    def test_events_jsonl_matches_json_dumps(self, scenario):
+        report = run(scenario)
+        reference = "".join(
+            json.dumps(
+                {
+                    "time": e.time,
+                    "seq": e.seq,
+                    "kind": e.kind,
+                    "from": e.sender,
+                    "to": e.recipient,
+                    "payload_kind": e.payload_kind,
+                },
+                separators=(",", ":"),
+            ) + "\n"
+            for e in report.event_log
+        )
+        text = render_events_jsonl(report)
+        assert text == reference
+        lines = text.splitlines()
+        assert len(lines) == len(report.event_log) > 0
+        for line, event in zip(lines, report.event_log):
+            decoded = json.loads(line)
+            assert (decoded["from"], decoded["to"]) == (event.sender, event.recipient)
+            assert decoded["payload_kind"] == event.payload_kind
 
     def test_reexport_is_byte_identical(self, report, tmp_path):
         first = {p.name: p.read_bytes() for p in export_report(report, tmp_path / "a")}

@@ -21,7 +21,7 @@ from specnego import (
     run,
     step,
 )
-from specnego.kernel import DELIVER, SimEvent
+from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent, SimEvent
 from specnego.reports import render_events_jsonl, render_metrics_csv
 
 
@@ -111,6 +111,32 @@ class TestStep:
         world = World(reference_scenario((1,)))
         with pytest.raises(ValueError, match="quiescence"):
             world.report()
+
+
+class TestRecords:
+    def test_field_names_and_order(self):
+        assert SimEvent._fields == ("time", "seq", "kind", "message", "agent_id")
+        assert SimEvent._field_defaults == {"message": None, "agent_id": None}
+        assert LoggedEvent._fields == (
+            "time", "seq", "kind", "sender", "recipient", "payload_kind"
+        )
+
+    def test_records_are_immutable(self):
+        records = (
+            SimEvent(1.0, 0, AGENT_WAKE, agent_id="su0"),
+            LoggedEvent(1.0, 0, AGENT_WAKE, "su0", "su0", None),
+        )
+        for record in records:
+            with pytest.raises(AttributeError):
+                record.time = 2.0
+            with pytest.raises(AttributeError):
+                record.seq = 1
+
+    def test_keyword_construction(self):
+        message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 1))
+        event = SimEvent(3.0, 7, DELIVER, message=message)
+        assert (event.time, event.seq, event.kind) == (3.0, 7, DELIVER)
+        assert event.message is message and event.agent_id is None
 
 
 class TestRun:

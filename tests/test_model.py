@@ -112,6 +112,31 @@ class TestValidate:
         assert any("unknown member 'nope'" in p for p in problems)
         assert any("'pu0' not assigned" in p for p in problems)
 
+    def test_membership_override_full_problem_list(self):
+        # unknown members and coordinators, members listed twice (also under
+        # one coordinator) and members left out, all in one override
+        scenario = small_scenario(
+            pus=tuple(PrimaryUser(f"pu{j}", Zone(j, 0), 4, 10.0, 60.0) for j in range(4)),
+            sus=(SecondaryUser("su0", Zone(1, 10), 2, 0.0),
+                 SecondaryUser("su1", Zone(2, 10), 2, 0.0)),
+            cpu_coordinators=(Coordinator("cpu0", Zone(0, 0)), Coordinator("cpu1", Zone(3, 0))),
+            memberships=MembershipOverride(
+                cpu={"cpu1": ("pu2", "ghost", "pu0"), "cpuX": ("pu0", "pu2", "pu2", "zz")},
+                csu={"csu0": ("su1", "su1")},
+            ),
+        )
+        assert validate(scenario) == [
+            "memberships.cpu['cpu1']: unknown member 'ghost'",
+            "memberships.cpu: unknown coordinator 'cpuX'",
+            "memberships.cpu['cpuX']: unknown member 'zz'",
+            "memberships.cpu: member 'pu0' assigned to more than one coordinator",
+            "memberships.cpu: member 'pu2' assigned to more than one coordinator",
+            "memberships.cpu: member 'pu1' not assigned to any coordinator",
+            "memberships.cpu: member 'pu3' not assigned to any coordinator",
+            "memberships.csu: member 'su1' assigned to more than one coordinator",
+            "memberships.csu: member 'su0' not assigned to any coordinator",
+        ]
+
     def test_validate_is_pure(self):
         scenario = small_scenario()
         first = validate(scenario)

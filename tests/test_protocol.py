@@ -73,6 +73,37 @@ class TestMessage:
         Message(MessageKind.SU_REPLY, "a", "b", None)
         Message(MessageKind.CPU_NO_OFFER, "a", "b", CoordinatorReply(None, "s"))
 
+    # kind -> (an accepted payload, a rejected payload)
+    PAYLOADS = {
+        MessageKind.PARAM_UPDATE: (PuParams(1, 2.0, 3.0), Demand("s", 1)),
+        MessageKind.SU_REQUEST: (Demand("s", 1), PuParams(1, 2.0, 3.0)),
+        MessageKind.CFP: ((Demand("s", 1), Demand("t", 2)), (Demand("s", 1), "t")),
+        MessageKind.CFP_SINGLE: (Demand("s", 1), (Demand("s", 1),)),
+        MessageKind.CPU_OFFER: (CoordinatorReply(make_offer("p"), "s"), CoordinatorReply(None)),
+        MessageKind.CPU_NO_OFFER: (CoordinatorReply(None, "s"), CoordinatorReply(make_offer("p"))),
+        MessageKind.SU_REPLY: (make_offer("p"), CoordinatorReply(make_offer("p"))),
+    }
+
+    def test_payload_cases_cover_every_kind(self):
+        assert set(self.PAYLOADS) == set(MessageKind)
+
+    @pytest.mark.parametrize("kind", list(MessageKind), ids=lambda k: k.value)
+    def test_payload_rule_per_kind(self, kind):
+        accepted, rejected = self.PAYLOADS[kind]
+        assert Message(kind, "a", "b", accepted).payload is accepted
+        with pytest.raises(ValueError, match=f"does not match kind {kind.value}$"):
+            Message(kind, "a", "b", rejected)
+
+    def test_rejects_plain_string_kind(self):
+        with pytest.raises(ValueError, match="'SuRequest' is not a MessageKind"):
+            Message("SuRequest", "a", "b", Demand("a", 1))
+
+    def test_is_frozen_without_instance_dict(self):
+        message = Message(MessageKind.SU_REPLY, "a", "b", None)
+        with pytest.raises(AttributeError):
+            message.sender = "c"
+        assert not hasattr(message, "__dict__")
+
 
 class TestAssignOffers:
     def test_single_demand_consumes_capacity(self):
