@@ -6,10 +6,21 @@ coordinator id), unless an explicit override map is supplied. Each
 PU-coalition coordinator then maintains a live registry of its members'
 advertised parameters and answers calls for proposals with its TOPSIS-best
 member offer.
+
+The nearest coordinator is found by a pruned sweep rather than by scoring
+every pair: coordinators are sorted by x once per call, and each agent walks
+outward from its own x, always to the side with the smaller ``|dx|``,
+scoring each visited coordinator by ``(math.hypot(dx, dy), id)`` exactly as
+``Zone.distance_to`` does. The walk stops once the next ``|dx|`` exceeds the
+best distance so far. This is exact, ties included: float subtraction is
+monotone in the coordinator's x, and ``math.hypot(dx, dy) >= |dx|``, so no
+skipped coordinator can win or tie.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -37,8 +48,9 @@ def form_coalitions(
     """Assign every agent to exactly one coordinator.
 
     Without an override, the nearest coordinator wins (Euclidean distance,
-    ties by ascending coordinator id). An override map wins verbatim but
-    must reference known ids and cover every agent exactly once.
+    ties by ascending coordinator id), and every zone must be finite. An
+    override map wins verbatim but must reference known ids and cover every
+    agent exactly once.
     """
     if override is not None:
         agent_ids = {aid for aid, _ in agents}
@@ -63,11 +75,39 @@ def form_coalitions(
 
     if not coordinators:
         raise ValueError("cannot form coalitions without coordinators")
+    # the sweep needs finite zones: a NaN x has no place in the sorted order
+    for cid, zone in coordinators:
+        _check_finite("coordinator", cid, zone)
+    ordered = sorted((zone.x, zone.y, cid) for cid, zone in coordinators)
+    xs = [cx for cx, _, _ in ordered]
+    n = len(ordered)
     membership = {cid: [] for cid, _ in coordinators}
     for aid, zone in agents:
-        best_cid = min(coordinators, key=lambda c: (zone.distance_to(c[1]), c[0]))[0]
-        membership[best_cid].append(aid)
+        _check_finite("agent", aid, zone)
+        x, y = zone.x, zone.y
+        hi = bisect_left(xs, x)
+        lo = hi - 1
+        best = None
+        while lo >= 0 or hi < n:
+            if lo < 0 or (hi < n and xs[hi] - x <= x - xs[lo]):
+                i, dx = hi, xs[hi] - x
+                hi += 1
+            else:
+                i, dx = lo, x - xs[lo]
+                lo -= 1
+            if best is not None and dx > best[0]:
+                break
+            cx, cy, cid = ordered[i]
+            candidate = (math.hypot(x - cx, y - cy), cid)
+            if best is None or candidate < best:
+                best = candidate
+        membership[best[1]].append(aid)
     return {cid: sorted(members) for cid, members in membership.items()}
+
+
+def _check_finite(role: str, agent_id: str, zone: Zone) -> None:
+    if not (math.isfinite(zone.x) and math.isfinite(zone.y)):
+        raise ValueError(f"{role} {agent_id!r} has a non-finite zone ({zone.x}, {zone.y})")
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,8 @@ class PrimaryUserState:
     agent_id: str
     price: float
     alloc_time: float
+    # the last offer made; reused while the live capacity is unchanged
+    offer: Offer | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -349,9 +351,13 @@ def _handle_pu(
     me = state.agent_id
     capacity = ctx.capacities.get(me, 0)
     if capacity > 0:
-        offer = Offer(
-            pu_id=me, cpu_id=me, channels=capacity, price=state.price, alloc_time=state.alloc_time
-        )
+        offer = state.offer
+        if offer is None or offer.channels != capacity:
+            offer = Offer(
+                pu_id=me, cpu_id=me, channels=capacity, price=state.price,
+                alloc_time=state.alloc_time,
+            )
+            state = PrimaryUserState(me, state.price, state.alloc_time, offer)
         reply = Message(
             MessageKind.CPU_OFFER, me, msg.sender, CoordinatorReply(offer, msg.payload.su_id)
         )

@@ -1,5 +1,6 @@
 """Coalition formation and parameter-registry tests."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,9 @@ from specnego import (
     ParamRegistry,
     Zone,
     best_offer,
+    experiment_spec,
     form_coalitions,
+    generate_scenario,
     register_params,
 )
 
@@ -104,6 +107,114 @@ class TestFormCoalitions:
         membership = form_coalitions(agents, coordinators)
         assigned = [m for members in membership.values() for m in members]
         assert sorted(assigned) == sorted(a for a, _ in agents)
+
+
+def oracle_coalitions(agents, coordinators):
+    """Score every agent x coordinator pair: nearest wins, ties by smaller id."""
+    membership = {cid: [] for cid, _ in coordinators}
+    for aid, zone in agents:
+        best_cid = min(coordinators, key=lambda c: (zone.distance_to(c[1]), c[0]))[0]
+        membership[best_cid].append(aid)
+    return {cid: sorted(members) for cid, members in membership.items()}
+
+
+# Tie-heavy coordinates: +-0.0, decimals whose sums round, and huge finite
+# values whose differences overflow to inf.
+TIE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 2.0, 1e308, -1e308, 5e307, -5e307)
+coordinate = st.one_of(
+    st.sampled_from(TIE_VALUES),
+    st.integers(-4, 4).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def layouts(draw):
+    """Coordinators (ids in random order, many sharing one x) and agents
+    placed left of, right of and exactly on coordinator xs."""
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12))
+    shared_x = draw(coordinate)
+    points += [(shared_x, y) for y in draw(st.lists(coordinate, max_size=6))]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))  # repeated zones
+    ids = draw(st.permutations([f"c{k:02d}" for k in range(len(points))]))
+    coordinators = [(cid, Zone(x, y)) for cid, (x, y) in zip(ids, points)]
+    xs = [x for x, _ in points]
+    agent_x = st.one_of(coordinate, st.sampled_from(xs))
+    agent_points = draw(st.lists(st.tuples(agent_x, coordinate), max_size=12))
+    agents = [(f"a{i}", Zone(x, y)) for i, (x, y) in enumerate(agent_points)]
+    return agents, coordinators
+
+
+@st.composite
+def mirrored_layouts(draw):
+    """Coordinators at exactly equal distances from one agent: mirror images
+    through it, the same offsets swapped, and points sharing its x."""
+    ax, ay = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    points = set()
+    offsets = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    for dx, dy in draw(st.lists(offsets, min_size=1, max_size=4)):
+        for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+            points.add((ax + sx * dx, ay + sy * dy))
+            points.add((ax + sx * dy, ay + sy * dx))
+    points = sorted(points)
+    ids = draw(st.permutations([f"c{k:02d}" for k in range(len(points))]))
+    coordinators = [(cid, Zone(x, y)) for cid, (x, y) in zip(ids, points)]
+    agents = [("a", Zone(ax, ay)), ("neg0", Zone(-0.0, -0.0))]
+    return agents, coordinators
+
+
+class TestFormCoalitionsExact:
+    """The pruned sweep agrees with scoring every pair, ties included."""
+
+    @given(layouts())
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_every_pair_oracle(self, layout):
+        agents, coordinators = layout
+        assert form_coalitions(agents, coordinators) == oracle_coalitions(agents, coordinators)
+
+    @given(mirrored_layouts())
+    @settings(max_examples=200, deadline=None)
+    def test_property_exact_ties_match_oracle(self, layout):
+        agents, coordinators = layout
+        assert form_coalitions(agents, coordinators) == oracle_coalitions(agents, coordinators)
+
+    @pytest.mark.parametrize("agent_x", [-1e308, -1.0, 0.0, -0.0, 3.0, 1e308])
+    def test_single_coordinator_takes_everyone(self, agent_x):
+        agents = [("a", Zone(agent_x, 5e307)), ("b", Zone(-agent_x, -1e308))]
+        assert form_coalitions(agents, [("only", Zone(0.0, 1e308))]) == {"only": ["a", "b"]}
+
+    def test_overflowed_distances_tie_by_id(self):
+        coordinators = [("z", Zone(1e308, 0.0)), ("y", Zone(1e308, 1.0)), ("x", Zone(-1e308, 0.0))]
+        agents = [("far", Zone(-1e308, 1e308)), ("mid", Zone(0.0, 0.0))]
+        assert form_coalitions(agents, coordinators) == oracle_coalitions(agents, coordinators)
+
+    @pytest.mark.parametrize("csu_count, per_csu", experiment_spec("exp_iii").csu_splits)
+    def test_exp_iii_splits_match_oracle(self, csu_count, per_csu):
+        spec = experiment_spec("exp_iii")
+        scenario = generate_scenario(
+            "cpu_csu", spec.pu_count, spec.cpu_count, (per_csu,) * csu_count, seed=spec.seed
+        )
+        for agents, coordinators in (
+            (scenario.pus, scenario.cpu_coordinators),
+            (scenario.sus, scenario.csu_coordinators),
+        ):
+            agents = [(a.id, a.zone) for a in agents]
+            coordinators = [(c.id, c.zone) for c in coordinators]
+            assert form_coalitions(agents, coordinators) == oracle_coalitions(agents, coordinators)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_agent_zone_rejected(self, bad):
+        with pytest.raises(ValueError, match="agent 'a1'.*non-finite"):
+            form_coalitions(
+                [("a0", Zone(0, 0)), ("a1", Zone(0, bad))], [("c", Zone(0, 0))]
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinator_zone_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinator 'c1'.*non-finite"):
+            form_coalitions(
+                [("a", Zone(0, 0))], [("c0", Zone(0, 0)), ("c1", Zone(bad, 0))]
+            )
 
 
 class TestParamRegistry:

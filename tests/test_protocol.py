@@ -21,6 +21,7 @@ from specnego.protocol import (
     CoordinatorReply,
     CsuPhase,
     HandlerContext,
+    PrimaryUserState,
     PuCoalitionState,
     PuParams,
     SecondaryUserState,
@@ -251,6 +252,40 @@ class TestCpuHandlers:
         message = Message(MessageKind.CFP, "csu0", "cpu0", ())
         [(reply, _)] = handle(state, message, 25.0, make_ctx()).sends
         assert reply.kind is MessageKind.CPU_NO_OFFER
+
+
+class TestPuHandlers:
+    def cfp(self, state, capacity):
+        message = Message(MessageKind.CFP_SINGLE, "su0", "p0", Demand("su0", 1))
+        return handle(state, message, 5.0, make_ctx(capacities={"p0": capacity}))
+
+    def test_offer_reused_while_capacity_unchanged(self):
+        first = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4)
+        [(reply, delay)] = first.sends
+        assert delay == 2.0
+        assert reply.payload.offer == Offer("p0", "p0", 4, 9.0, 30.0)
+        assert first.state.offer is reply.payload.offer
+        second = self.cfp(first.state, 4)
+        assert second.state is first.state
+        assert second.sends[0][0].payload.offer is reply.payload.offer
+
+    def test_offer_rebuilt_when_capacity_changes(self):
+        first = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4)
+        second = self.cfp(first.state, 3)
+        assert second.sends[0][0].payload.offer == Offer("p0", "p0", 3, 9.0, 30.0)
+        assert second.state.offer.channels == 3
+        assert first.state.offer.channels == 4  # the earlier state is untouched
+
+    def test_no_offer_without_capacity(self):
+        state = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4).state
+        result = self.cfp(state, 0)
+        assert result.sends[0][0].kind is MessageKind.CPU_NO_OFFER
+        assert result.state is state
+
+    def test_cached_offer_ignored_by_equality(self):
+        state = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4).state
+        assert state == PrimaryUserState("p0", 9.0, 30.0)
+        assert "offer" not in repr(state)
 
 
 class TestCsuHandlers:
