@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .charts import emit_plot
-from .experiments import EXPERIMENT_IDS, experiment_spec, run_experiment
+from .experiments import EXPERIMENT_IDS, STUDIES, experiment_spec, run_experiment
 from .kernel import SimulationCapExceeded, run
 from .matrix_io import closeness_csv, parse_matrix_csv
 from .model import validate
@@ -36,14 +36,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
-
-# Per-experiment chart shape: (kind, x column, y column, series column)
-PLOT_CONFIG = {
-    "exp_i": ("line", "su_count", "run_response", None),
-    "exp_ii": ("bar", "csu_count", "run_response", None),
-    "exp_iii": ("line", "csu_count", "total_messages", None),
-    "exp_iv": ("bar", "su_count", "total_messages", "topology"),
-}
 
 
 def _sweep(text: str) -> tuple[int, ...]:
@@ -126,12 +118,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = experiment_spec(args.id, seed=args.seed, su_sweep=args.su_sweep)
+    try:
+        spec = experiment_spec(args.id, seed=args.seed, su_sweep=args.su_sweep)
+    except ValueError as exc:
+        print(f"--su-sweep: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     table = run_experiment(spec, event_cap=_event_cap())
     csv_path = export_table(table, args.out)
     print(f"wrote {csv_path}")
     if not args.no_plots:
-        kind, x, y, series = PLOT_CONFIG[args.id]
+        kind, x, y, series = STUDIES[args.id].chart
         svg_path = emit_plot(table, kind, Path(args.out) / f"{args.id}.svg", x, y, series)
         print(f"wrote {svg_path}")
     return EXIT_OK

@@ -1,15 +1,8 @@
 """Closed-form message accounting, scenario generators, and the built-in studies.
 
-Four studies are provided:
-
-* ``exp_i``   -- response time vs. SU count in a single SU-coalition
-                 (1, 2, 3, 4, 5, 10 SUs; 15 PUs over 5 PU-coalitions).
-* ``exp_ii``  -- response time vs. SU-coalition count for 10 SUs split as
-                 5x2, 2x5, 1x10.
-* ``exp_iii`` -- message totals vs. SU-coalition count for 1000 SUs split
-                 as 500x2, 100x10, 40x25, 1x1000.
-* ``exp_iv``  -- message totals across the three topologies over an SU
-                 sweep (default 5, 10, 15, 20, 25; coalitions of 5 SUs).
+Each study (``exp_i`` .. ``exp_iv``) is one entry of :data:`STUDIES`: its
+configuration, notes, row keys and chart shape, plus a generator of the
+runs that :func:`run_experiment` simulates and tabulates.
 
 Scenario generation is fully deterministic from the experiment seed.
 Measured response times are simulation-time spans; only orderings and
@@ -19,11 +12,13 @@ monotone trends are meaningful, not wall-clock values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass, field, replace
 
-from .kernel import RunReport, run
+from .kernel import run
 from .model import (
     DEFAULT_WEIGHTS,
+    TOPOLOGIES,
     Coordinator,
     PrimaryUser,
     Scenario,
@@ -38,13 +33,14 @@ __all__ = [
     "KIND_COLUMNS",
     "MetricsTable",
     "ExperimentSpec",
+    "STUDIES",
+    "Study",
     "experiment_spec",
     "expected_messages",
     "generate_scenario",
     "run_experiment",
 ]
 
-EXPERIMENT_IDS = ("exp_i", "exp_ii", "exp_iii", "exp_iv")
 KIND_COLUMNS = tuple(kind.value for kind in MessageKind)
 
 # Generated PU/SU parameter ranges (the studies only compare counts and
@@ -195,53 +191,87 @@ class ExperimentSpec:
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     timing: TimingConstants = field(default_factory=TimingConstants)
 
+    def __post_init__(self) -> None:
+        if self.experiment_id not in STUDIES:
+            raise ValueError(f"unknown experiment {self.experiment_id!r}")
+
+
+def _single_csu_runs(spec: ExperimentSpec) -> Iterator[tuple]:
+    for su_count in spec.su_sweep:
+        yield f"{su_count} SU", (su_count,), "cpu_csu", spec.cpu_count, (su_count,)
+
+
+def _csu_split_runs(spec: ExperimentSpec) -> Iterator[tuple]:
+    for csu_count, per_csu in spec.csu_splits:
+        yield (f"{csu_count} CSU x {per_csu} SU", (csu_count,), "cpu_csu",
+               spec.cpu_count, (per_csu,) * csu_count)
+
+
+def _topology_runs(spec: ExperimentSpec) -> Iterator[tuple]:
+    for topology in TOPOLOGIES:
+        cpu_count = 0 if topology == "no_coalition" else spec.cpu_count
+        for su_count in spec.su_sweep:
+            groups = (su_count,)
+            if topology == "cpu_csu":
+                full, rest = divmod(su_count, spec.csu_size)
+                groups = (spec.csu_size,) * full + ((rest,) if rest else ())
+            yield f"{topology} S={su_count}", (topology, su_count), topology, cpu_count, groups
+
+
+@dataclass(frozen=True)
+class Study:
+    """Everything that differs between the built-in studies."""
+
+    defaults: dict  # ExperimentSpec fields other than the id and seed
+    title: tuple[str, ...]  # leading note lines, str.format-ted with ``spec``
+    keys: tuple[str, ...]  # row-key columns between the label and the metrics
+    chart: tuple[str, str, str, str | None]  # (kind, x column, y column, series column)
+    # yields one (label, row-key cells, topology, cpu_count, su_groups) per run
+    runs: Callable[[ExperimentSpec], Iterator[tuple]]
+    takes_su_sweep: bool = False  # whether experiment_spec's su_sweep replaces the default
+
+
+STUDIES = {
+    "exp_i": Study(
+        {"su_sweep": (1, 2, 3, 4, 5, 10)},
+        ("response time vs. SU count in a single SU-coalition",),
+        ("su_count",), ("line", "su_count", "run_response", None), _single_csu_runs,
+    ),
+    "exp_ii": Study(
+        {"csu_splits": ((5, 2), (2, 5), (1, 10))},
+        ("response time vs. SU-coalition count (10 SUs total)",),
+        ("csu_count",), ("bar", "csu_count", "run_response", None), _csu_split_runs,
+    ),
+    "exp_iii": Study(
+        {"csu_splits": ((500, 2), (100, 10), (40, 25), (1, 1000))},
+        ("message total vs. SU-coalition count (1000 SUs total)",),
+        ("csu_count",), ("line", "csu_count", "total_messages", None), _csu_split_runs,
+    ),
+    "exp_iv": Study(
+        {"su_sweep": (5, 10, 15, 20, 25)},
+        ("message totals across the three topologies",
+         "cpu_csu rows aggregate member demands; SU-coalitions sized {spec.csu_size}"),
+        ("topology", "su_count"), ("bar", "su_count", "total_messages", "topology"),
+        _topology_runs, takes_su_sweep=True,
+    ),
+}
+EXPERIMENT_IDS = tuple(STUDIES)
+
 
 def experiment_spec(
     experiment_id: str, seed: int = 1, su_sweep: tuple[int, ...] | None = None
 ) -> ExperimentSpec:
-    """Build the standard spec for a study id; ``su_sweep`` overrides exp_iv's."""
-    if experiment_id == "exp_i":
-        return ExperimentSpec("exp_i", seed=seed, su_sweep=(1, 2, 3, 4, 5, 10))
-    if experiment_id == "exp_ii":
-        return ExperimentSpec("exp_ii", seed=seed, csu_splits=((5, 2), (2, 5), (1, 10)))
-    if experiment_id == "exp_iii":
-        return ExperimentSpec(
-            "exp_iii", seed=seed, csu_splits=((500, 2), (100, 10), (40, 25), (1, 1000))
-        )
-    if experiment_id == "exp_iv":
-        return ExperimentSpec("exp_iv", seed=seed, su_sweep=su_sweep or (5, 10, 15, 20, 25))
-    raise ValueError(f"unknown experiment {experiment_id!r}")
+    """Build the standard spec for a study id.
 
-
-def _common_notes(spec: ExperimentSpec) -> list[str]:
-    return [
-        f"seed={spec.seed}; fixed topology: {spec.pu_count} PU over {spec.cpu_count} PU-coalitions",
-        f"weights={spec.weights}; timing: latency={spec.timing.latency:g}, "
-        f"agg_per_demand={spec.timing.agg_per_demand:g}, cpu_select={spec.timing.cpu_select:g}, "
-        f"rank_per_offer={spec.timing.rank_per_offer:g}, pu_reply={spec.timing.pu_reply:g}",
-        f"generated PU params: channels in {list(CHANNELS_RANGE)}, price in {list(PRICE_RANGE)}, "
-        f"alloc_time in {list(ALLOC_TIME_RANGE)}; SU requests in {list(REQUEST_RANGE)}",
-        "message totals include the initial PU registration messages (one per PU) "
-        "and negative coordinator replies",
-        "response times are simulation-time spans (first SU arrival to last SU reply)",
-    ]
-
-
-def _row_counts(report: RunReport) -> tuple[int, ...]:
-    return tuple(report.msg_counts[kind] for kind in KIND_COLUMNS)
-
-
-def _run_checked(
-    scenario: Scenario,
-    expected: int,
-    event_cap: int | None,
-) -> RunReport:
-    report = run(scenario, event_cap=event_cap)
-    if report.total_messages != expected:
-        raise RuntimeError(
-            f"simulated total {report.total_messages} != closed form {expected}"
-        )
-    return report
+    ``su_sweep`` replaces the default sweep of a study that takes one
+    (exp_iv); the other studies reject it with ValueError.
+    """
+    spec = ExperimentSpec(experiment_id, seed=seed)  # rejects an unknown id
+    study = STUDIES[experiment_id]
+    if su_sweep and not study.takes_su_sweep:
+        raise ValueError(f"{experiment_id} takes no SU sweep; it runs a fixed configuration set")
+    spec = replace(spec, **study.defaults)
+    return replace(spec, su_sweep=su_sweep) if su_sweep else spec
 
 
 def run_experiment(spec: ExperimentSpec, event_cap: int | None = None) -> MetricsTable:
@@ -250,86 +280,34 @@ def run_experiment(spec: ExperimentSpec, event_cap: int | None = None) -> Metric
     Every row's simulated message total is checked against
     :func:`expected_messages`; a mismatch aborts the study.
     """
-    if spec.experiment_id == "exp_i":
-        rows = []
-        for su_count in spec.su_sweep:
-            scenario = generate_scenario(
-                "cpu_csu", spec.pu_count, spec.cpu_count, (su_count,),
-                seed=spec.seed, weights=spec.weights, timing=spec.timing,
-            )
-            expected = expected_messages(
-                "cpu_csu", True, su_count, spec.pu_count, spec.cpu_count, 1
-            )
-            report = _run_checked(scenario, expected, event_cap)
-            rows.append(
-                (f"{su_count} SU", su_count, report.total_messages, report.run_response)
-                + _row_counts(report)
-            )
-        notes = ["response time vs. SU count in a single SU-coalition"] + _common_notes(spec)
-        columns = ("label", "su_count", "total_messages", "run_response") + KIND_COLUMNS
-        return MetricsTable("exp_i", tuple(notes), columns, tuple(rows))
-
-    if spec.experiment_id in ("exp_ii", "exp_iii"):
-        rows = []
-        for csu_count, per_csu in spec.csu_splits:
-            scenario = generate_scenario(
-                "cpu_csu", spec.pu_count, spec.cpu_count, (per_csu,) * csu_count,
-                seed=spec.seed, weights=spec.weights, timing=spec.timing,
-            )
-            expected = expected_messages(
-                "cpu_csu", True, csu_count * per_csu, spec.pu_count,
-                spec.cpu_count, csu_count,
-            )
-            report = _run_checked(scenario, expected, event_cap)
-            rows.append(
-                (f"{csu_count} CSU x {per_csu} SU", csu_count,
-                 report.total_messages, report.run_response) + _row_counts(report)
-            )
-        title = (
-            "response time vs. SU-coalition count (10 SUs total)"
-            if spec.experiment_id == "exp_ii"
-            else "message total vs. SU-coalition count (1000 SUs total)"
+    study = STUDIES[spec.experiment_id]
+    rows = []
+    for label, keys, topology, cpu_count, groups in study.runs(spec):
+        scenario = generate_scenario(
+            topology, spec.pu_count, cpu_count, groups,
+            seed=spec.seed, weights=spec.weights, timing=spec.timing,
         )
-        notes = [title] + _common_notes(spec)
-        columns = ("label", "csu_count", "total_messages", "run_response") + KIND_COLUMNS
-        return MetricsTable(spec.experiment_id, tuple(notes), columns, tuple(rows))
-
-    if spec.experiment_id == "exp_iv":
-        rows = []
-        for topology in ("no_coalition", "cpu_only", "cpu_csu"):
-            for su_count in spec.su_sweep:
-                if topology == "cpu_csu":
-                    full, rest = divmod(su_count, spec.csu_size)
-                    groups = (spec.csu_size,) * full + ((rest,) if rest else ())
-                    scenario = generate_scenario(
-                        topology, spec.pu_count, spec.cpu_count, groups,
-                        seed=spec.seed, weights=spec.weights, timing=spec.timing,
-                    )
-                    expected = expected_messages(
-                        topology, True, su_count, spec.pu_count,
-                        spec.cpu_count, len(groups),
-                    )
-                else:
-                    cpu_count = spec.cpu_count if topology == "cpu_only" else 0
-                    scenario = generate_scenario(
-                        topology, spec.pu_count, cpu_count, (su_count,),
-                        seed=spec.seed, weights=spec.weights, timing=spec.timing,
-                    )
-                    expected = expected_messages(
-                        topology, None, su_count, spec.pu_count, cpu_count or None
-                    )
-                report = _run_checked(scenario, expected, event_cap)
-                rows.append(
-                    (f"{topology} S={su_count}", topology, su_count,
-                     report.total_messages, report.run_response) + _row_counts(report)
-                )
-        notes = [
-            "message totals across the three topologies",
-            f"cpu_csu rows aggregate member demands; SU-coalitions sized {spec.csu_size}",
-        ] + _common_notes(spec)
-        columns = (
-            "label", "topology", "su_count", "total_messages", "run_response"
-        ) + KIND_COLUMNS
-        return MetricsTable("exp_iv", tuple(notes), columns, tuple(rows))
-
-    raise ValueError(f"unknown experiment {spec.experiment_id!r}")
+        cpu_csu = topology == "cpu_csu"
+        expected = expected_messages(
+            topology, True if cpu_csu else None, sum(groups), spec.pu_count,
+            cpu_count or None, len(groups) if cpu_csu else None,
+        )
+        report = run(scenario, event_cap=event_cap)
+        if report.total_messages != expected:
+            raise RuntimeError(
+                f"simulated total {report.total_messages} != closed form {expected}"
+            )
+        rows.append((label, *keys, report.total_messages, report.run_response)
+                    + tuple(report.msg_counts[kind] for kind in KIND_COLUMNS))
+    timing = ", ".join(f"{name}={value:g}" for name, value in asdict(spec.timing).items())
+    notes = [line.format(spec=spec) for line in study.title] + [
+        f"seed={spec.seed}; fixed topology: {spec.pu_count} PU over {spec.cpu_count} PU-coalitions",
+        f"weights={spec.weights}; timing: {timing}",
+        f"generated PU params: channels in {list(CHANNELS_RANGE)}, price in {list(PRICE_RANGE)}, "
+        f"alloc_time in {list(ALLOC_TIME_RANGE)}; SU requests in {list(REQUEST_RANGE)}",
+        "message totals include the initial PU registration messages (one per PU) "
+        "and negative coordinator replies",
+        "response times are simulation-time spans (first SU arrival to last SU reply)",
+    ]
+    columns = ("label",) + study.keys + ("total_messages", "run_response") + KIND_COLUMNS
+    return MetricsTable(spec.experiment_id, tuple(notes), columns, tuple(rows))

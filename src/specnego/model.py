@@ -9,7 +9,7 @@ problems at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .topsis import CriterionSense
 
@@ -125,8 +125,8 @@ class TimingConstants:
     pu_reply: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("latency", "agg_per_demand", "cpu_select", "rank_per_offer", "pu_reply"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,7 @@ def validate(scenario: Scenario) -> list[str]:
         if not (math.isfinite(w) and w > 0):
             out.append(f"weights[{j}]: must be > 0 and finite, got {w}")
 
-    for name in ("latency", "agg_per_demand", "cpu_select", "rank_per_offer", "pu_reply"):
-        value = getattr(scenario.timing, name)
+    for name, value in asdict(scenario.timing).items():
         if not (math.isfinite(value) and value >= 0):
             out.append(f"timing.{name}: must be >= 0 and finite, got {value}")
 

@@ -180,9 +180,9 @@ class SuCoalitionState:
     member_ids: tuple[str, ...]
     phase: CsuPhase = CsuPhase.COLLECTING
     demands: tuple[tuple[float, Demand], ...] = ()
-    offers: tuple[CoordinatorReply, ...] = ()
-    replies_by_demand: dict[str, tuple[CoordinatorReply, ...]] = field(default_factory=dict)
-    replied: tuple[str, ...] = ()
+    # coordinator replies keyed by demand_ref; None keys the aggregated batch
+    replies: dict[str | None, tuple[CoordinatorReply, ...]] = field(default_factory=dict)
+    replied: int = 0  # members answered so far
 
 
 AgentState = Union[PrimaryUserState, SecondaryUserState, PuCoalitionState, SuCoalitionState]
@@ -404,53 +404,42 @@ def _handle_csu(
         if state.phase is not CsuPhase.COLLECTING:
             return _violation(state, me, f"SuRequest in phase {state.phase.value}", now)
         demands = state.demands + ((now, msg.payload),)
-        if ctx.plan.aggregation:
-            if len(demands) < len(state.member_ids):
-                return HandlerResult(state=replace(state, demands=demands))
+        complete = len(demands) >= len(state.member_ids)
+        if not ctx.plan.aggregation:
+            # Forward the single demand to every PU-coalition.
+            kind, payload, delay = MessageKind.CFP_SINGLE, msg.payload, ctx.timing.agg_per_demand
+        elif complete:
             # Last expected demand: aggregate the batch into one CFP per
             # PU-coalition, paying the per-demand aggregation cost.
-            batch = tuple(_sorted_demands(demands))
+            kind, payload = MessageKind.CFP, tuple(_sorted_demands(demands))
             delay = ctx.timing.agg_per_demand * len(state.member_ids)
-            sends = [
-                (Message(MessageKind.CFP, me, cpu, batch), delay) for cpu in ctx.plan.cpu_ids
-            ]
-            new_state = replace(state, demands=demands, phase=CsuPhase.AWAITING_OFFERS)
-            return HandlerResult(state=new_state, sends=sends)
-        # Aggregation off: forward the single demand to every PU-coalition.
-        sends = [
-            (Message(MessageKind.CFP_SINGLE, me, cpu, msg.payload), ctx.timing.agg_per_demand)
-            for cpu in ctx.plan.cpu_ids
-        ]
-        phase = (
-            CsuPhase.AWAITING_OFFERS
-            if len(demands) == len(state.member_ids)
-            else CsuPhase.COLLECTING
-        )
+        else:
+            return HandlerResult(state=replace(state, demands=demands))
+        sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
+        phase = CsuPhase.AWAITING_OFFERS if complete else CsuPhase.COLLECTING
         return HandlerResult(state=replace(state, demands=demands, phase=phase), sends=sends)
 
-    if msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
-        reply: CoordinatorReply = msg.payload
-        if ctx.plan.aggregation:
-            return _csu_collect_batch_reply(state, reply, now, ctx)
-        return _csu_collect_single_reply(state, reply, now, ctx)
-
-    return _violation(state, me, f"unexpected {msg.kind.value}", now)
-
-
-def _csu_collect_batch_reply(
-    state: SuCoalitionState, reply: CoordinatorReply, now: float, ctx: HandlerContext
-) -> HandlerResult:
-    me = state.agent_id
-    if state.phase is not CsuPhase.AWAITING_OFFERS:
-        return _violation(state, me, f"coordinator reply in phase {state.phase.value}", now)
-    offers = state.offers + (reply,)
-    if len(offers) < len(ctx.plan.cpu_ids):
-        return HandlerResult(state=replace(state, offers=offers))
-    # All coordinator replies are in: rank the real offers, settle every
-    # member demand against live capacities, and answer each member.
-    real = [r.offer for r in offers if r.offer is not None]
+    if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
+        return _violation(state, me, f"unexpected {msg.kind.value}", now)
+    reply: CoordinatorReply = msg.payload
+    if ctx.plan.aggregation:
+        if state.phase is not CsuPhase.AWAITING_OFFERS:
+            return _violation(state, me, f"coordinator reply in phase {state.phase.value}", now)
+        key = None
+    elif (key := reply.demand_ref) is None:
+        return _violation(state, me, "batch reply in non-aggregated mode", now)
+    replies = {**state.replies, key: state.replies.get(key, ()) + (reply,)}
+    if len(replies[key]) < len(ctx.plan.cpu_ids):
+        return HandlerResult(state=replace(state, replies=replies))
+    # Every coordinator has answered this batch (or this one demand): rank
+    # the real offers, settle its demands against live capacities, and
+    # answer each member concerned.
+    real = [r.offer for r in replies[key] if r.offer is not None]
     ranked = rank_offers(real, ctx.weights)
-    demands = _sorted_demands(state.demands)
+    if key is None:
+        demands = _sorted_demands(state.demands)
+    else:
+        demands = [next(d for _, d in state.demands if d.su_id == key)]
     allocations, _unserved = assign_offers(
         ranked, [(d.su_id, d.channels_requested) for d in demands], ctx.capacities
     )
@@ -460,32 +449,9 @@ def _csu_collect_batch_reply(
         (Message(MessageKind.SU_REPLY, me, d.su_id, granted.get(d.su_id)), delay)
         for d in demands
     ]
-    new_state = replace(state, offers=offers, phase=CsuPhase.DONE)
-    return HandlerResult(state=new_state, sends=sends, allocations=allocations)
-
-
-def _csu_collect_single_reply(
-    state: SuCoalitionState, reply: CoordinatorReply, now: float, ctx: HandlerContext
-) -> HandlerResult:
-    me = state.agent_id
-    su_id = reply.demand_ref
-    if su_id is None:
-        return _violation(state, me, "batch reply in non-aggregated mode", now)
-    replies = state.replies_by_demand.get(su_id, ()) + (reply,)
-    by_demand = dict(state.replies_by_demand)
-    by_demand[su_id] = replies
-    if len(replies) < len(ctx.plan.cpu_ids):
-        return HandlerResult(state=replace(state, replies_by_demand=by_demand))
-    real = [r.offer for r in replies if r.offer is not None]
-    ranked = rank_offers(real, ctx.weights)
-    requested = next(d.channels_requested for _, d in state.demands if d.su_id == su_id)
-    allocations, _unserved = assign_offers(ranked, [(su_id, requested)], ctx.capacities)
-    granted = allocations[0].offer if allocations else None
-    delay = ctx.timing.rank_per_offer * len(real)
-    sends = [(Message(MessageKind.SU_REPLY, me, su_id, granted), delay)]
-    replied = state.replied + (su_id,)
-    phase = CsuPhase.DONE if len(replied) == len(state.member_ids) else state.phase
-    new_state = replace(state, replies_by_demand=by_demand, replied=replied, phase=phase)
+    replied = state.replied + len(demands)
+    phase = CsuPhase.DONE if replied >= len(state.member_ids) else state.phase
+    new_state = replace(state, replies=replies, replied=replied, phase=phase)
     return HandlerResult(state=new_state, sends=sends, allocations=allocations)
 
 

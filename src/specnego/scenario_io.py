@@ -27,6 +27,8 @@ price) and therefore not part of the document.
 from __future__ import annotations
 
 import json
+from collections.abc import Collection
+from dataclasses import asdict, fields
 
 from .model import (
     DEFAULT_WEIGHTS,
@@ -50,7 +52,7 @@ _TOP_KEYS = {
     "seed", "topology", "aggregation", "weights", "timing",
     "pus", "sus", "cpu_coordinators", "csu_coordinators", "memberships",
 }
-_TIMING_KEYS = {"latency", "agg_per_demand", "cpu_select", "rank_per_offer", "pu_reply"}
+_TIMING_KEYS = tuple(f.name for f in fields(TimingConstants))  # declaration order
 _PU_KEYS = {"id", "zone", "channels", "price", "alloc_time"}
 _SU_KEYS = {"id", "zone", "channels_requested", "arrival_time"}
 _COORD_KEYS = {"id", "zone"}
@@ -60,7 +62,7 @@ def _fail(path: str, message: str) -> None:
     raise ScenarioParseError(f"{path}: {message}")
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _check_keys(obj: dict, allowed: Collection[str], required: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             _fail(f"{path}.{key}" if path else key, "unknown field")
@@ -143,15 +145,11 @@ def parse_scenario(data: bytes | str) -> Scenario:
 
     timing_doc = _as_dict(doc.get("timing", {}), "timing")
     _check_keys(timing_doc, _TIMING_KEYS, set(), "timing")
-    defaults = TimingConstants()
-    timing = TimingConstants(
-        **{
-            key: _as_number(timing_doc[key], f"timing.{key}")
-            if key in timing_doc
-            else getattr(defaults, key)
-            for key in _TIMING_KEYS
-        }
-    )
+    timing = TimingConstants(**{
+        key: _as_number(timing_doc[key], f"timing.{key}")
+        for key in _TIMING_KEYS
+        if key in timing_doc
+    })
 
     pus = []
     for i, item in enumerate(_as_list(doc["pus"], "pus")):
@@ -232,13 +230,7 @@ def scenario_to_json(scenario: Scenario) -> str:
         "topology": scenario.topology,
         "aggregation": scenario.aggregation,
         "weights": list(scenario.weights),
-        "timing": {
-            "latency": scenario.timing.latency,
-            "agg_per_demand": scenario.timing.agg_per_demand,
-            "cpu_select": scenario.timing.cpu_select,
-            "rank_per_offer": scenario.timing.rank_per_offer,
-            "pu_reply": scenario.timing.pu_reply,
-        },
+        "timing": asdict(scenario.timing),
         "pus": [
             {
                 "id": pu.id,

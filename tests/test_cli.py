@@ -110,6 +110,15 @@ class TestExperimentCommand:
         text = (out / "exp_iv_metrics.csv").read_text(encoding="utf-8")
         assert "no_coalition S=10" in text and "S=15" not in text
 
+    @pytest.mark.parametrize("study", ["exp_i", "exp_ii", "exp_iii"])
+    def test_sweep_rejected_outside_exp_iv(self, study, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["experiment", study, "--out", str(out), "--su-sweep", "5,10"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--su-sweep" in err and study in err
+        assert not out.exists()
+
     def test_bad_sweep_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "exp_iv", "--su-sweep", "5,ten"])

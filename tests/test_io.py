@@ -1,9 +1,14 @@
 """Scenario/matrix file handling and export determinism tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specnego
 from specnego import (
     MembershipOverride,
     PrimaryUser,
@@ -105,6 +110,29 @@ class TestParseScenario:
         doc["timing"] = {"lag": 1}
         with pytest.raises(ScenarioParseError, match="timing.lag"):
             parse_scenario(json.dumps(doc))
+
+
+    def test_first_bad_timing_value_reported_whatever_the_hash_seed(self):
+        # Several bad values: the error names the first in declaration
+        # order, not whichever a set's hash order happens to reach first.
+        doc = json.loads(MINIMAL_DOC)
+        doc["timing"] = {"pu_reply": "y", "cpu_select": True, "latency": "x"}
+        code = (
+            "import sys\n"
+            "from specnego.scenario_io import parse_scenario\n"
+            "try:\n"
+            "    parse_scenario(sys.argv[1])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(specnego.__file__).resolve().parents[1])
+        for hash_seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(doc)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            assert out.startswith("timing.latency: "), (hash_seed, out)
 
 
 class TestRoundTrip:

@@ -369,6 +369,33 @@ class TestCsuHandlers:
         assert su_reply.kind is MessageKind.SU_REPLY and su_reply.recipient == "su0"
         assert state.phase is not CsuPhase.DONE  # su1 still outstanding
 
+    def test_non_aggregated_coalition_reaches_done(self):
+        cpu_ids = ("cpu0", "cpu1")
+        ctx = make_ctx(aggregation=False, cpu_ids=cpu_ids, capacities={"p0": 8, "p1": 8})
+        state = SuCoalitionState("csu0", ("su0", "su1"))
+        for su_id, t in (("su0", 10.0), ("su1", 110.0)):
+            message = Message(MessageKind.SU_REQUEST, su_id, "csu0", Demand(su_id, 2))
+            state = handle(state, message, t, ctx).state
+        assert state.phase is CsuPhase.AWAITING_OFFERS
+        batch = Message(MessageKind.CPU_OFFER, "cpu0", "csu0",
+                        CoordinatorReply(make_offer("p0", cpu_id="cpu0")))
+        rejected = handle(state, batch, 120.0, ctx)
+        assert "batch reply in non-aggregated mode" in rejected.violation
+        # replies for the two demands interleave; each demand closes on its second
+        answered = []
+        for su_id, cpu, pu in (("su1", "cpu0", "p0"), ("su0", "cpu0", "p0"),
+                               ("su1", "cpu1", "p1"), ("su0", "cpu1", "p1")):
+            reply = Message(MessageKind.CPU_OFFER, cpu, "csu0",
+                            CoordinatorReply(make_offer(pu, cpu_id=cpu), su_id))
+            result = handle(state, reply, 130.0, ctx)
+            state = result.state
+            answered += [(m.recipient, m.payload is not None) for m, _ in result.sends]
+        assert answered == [("su1", True), ("su0", True)]
+        assert state.phase is CsuPhase.DONE and state.replied == 2
+        assert {key: len(r) for key, r in state.replies.items()} == {"su1": 2, "su0": 2}
+        late = handle(state, reply, 140.0, ctx)
+        assert "terminal phase Done" in late.violation
+
     def test_handler_is_pure(self):
         state = SuCoalitionState("csu0", ("su0",))
         ctx = make_ctx()
