@@ -15,7 +15,7 @@ from .experiments import (
     generate_scenario,
     run_experiment,
 )
-from .kernel import RunReport, SimulationCapExceeded, World, run, step
+from .kernel import RunReport, SimulationCapExceeded, World, run
 from .model import (
     CRITERIA_SENSES,
     CRITERION_LABELS,

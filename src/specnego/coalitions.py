@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .model import CRITERIA_SENSES, CRITERION_LABELS, Offer, Zone
+from .model import CRITERIA_SENSES, CRITERION_LABELS, Offer, Zone, check_override
 from .topsis import DecisionMatrix, topsis
 
 __all__ = [
@@ -49,29 +49,16 @@ def form_coalitions(
 
     Without an override, the nearest coordinator wins (Euclidean distance,
     ties by ascending coordinator id), and every zone must be finite. An
-    override map wins verbatim but must reference known ids and cover every
-    agent exactly once.
+    override map wins verbatim but must pass :func:`model.check_override`:
+    known ids only, and every agent under exactly one coordinator.
     """
     if override is not None:
+        problems: list[str] = []
         agent_ids = {aid for aid, _ in agents}
-        coordinator_ids = {cid for cid, _ in coordinators}
-        membership: Membership = {cid: [] for cid, _ in coordinators}
-        assigned: set[str] = set()
-        for cid, members in override.items():
-            if coordinator_ids and cid not in coordinator_ids:
-                raise ValueError(f"override references unknown coordinator {cid!r}")
-            membership.setdefault(cid, [])
-            for mid in members:
-                if mid not in agent_ids:
-                    raise ValueError(f"override references unknown agent {mid!r}")
-                if mid in assigned:
-                    raise ValueError(f"override assigns agent {mid!r} twice")
-                assigned.add(mid)
-                membership[cid].append(mid)
-        missing = sorted(agent_ids - assigned)
-        if missing:
-            raise ValueError(f"override leaves agents unassigned: {missing}")
-        return {cid: sorted(members) for cid, members in membership.items()}
+        check_override("override", override, {cid for cid, _ in coordinators}, agent_ids, problems)
+        if problems:
+            raise ValueError("; ".join(problems))
+        return {cid: sorted(override.get(cid, ())) for cid, _ in coordinators}
 
     if not coordinators:
         raise ValueError("cannot form coalitions without coordinators")

@@ -14,6 +14,7 @@ they stay cheap: a run builds one or two of them per event.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -43,7 +44,6 @@ __all__ = [
     "RunReport",
     "SimulationCapExceeded",
     "World",
-    "step",
     "run",
 ]
 
@@ -56,6 +56,7 @@ AGENT_WAKE = "AgentWake"
 # Wire name of each message kind. Read on every delivery, where ``kind.value``
 # would be an enum descriptor call.
 _WIRE_NAMES: dict[MessageKind, str] = {kind: kind.value for kind in MessageKind}
+_TERMINAL = (SuPhase.SERVED, SuPhase.UNSERVED)
 
 
 class SimEvent(NamedTuple):
@@ -199,7 +200,7 @@ class World:
                 raise ValueError(f"wake for unknown agent {agent_id!r}")
             result = handle_wake(state, time, self.ctx)
 
-        self._apply(state, result.state, agent_id)
+        self._apply(state, result.state, agent_id, message)
         if result.violation is not None:
             self.violations.append(result.violation)
         for allocation in result.allocations:
@@ -211,18 +212,20 @@ class World:
             self.capacities[allocation.offer.pu_id] = remaining
             self.allocations.append(allocation)
         for message, delay in result.sends:
-            self._schedule(time + delay + self.scenario.timing.latency, DELIVER, message)
+            due = time + delay + self.scenario.timing.latency
+            if due == math.inf:
+                raise _time_overflow("delivery", message, time)
+            self._schedule(due, DELIVER, message)
         self.sent += len(result.sends)
         return self
 
-    def _apply(self, old_state, new_state, agent_id: str) -> None:
+    def _apply(self, old_state, new_state, agent_id: str, message: Message | None) -> None:
         self.states[agent_id] = new_state
         if isinstance(new_state, SecondaryUserState) and isinstance(old_state, SecondaryUserState):
-            became_terminal = old_state.phase not in (
-                SuPhase.SERVED, SuPhase.UNSERVED
-            ) and new_state.phase in (SuPhase.SERVED, SuPhase.UNSERVED)
-            if became_terminal:
+            if old_state.phase not in _TERMINAL and new_state.phase in _TERMINAL:
                 completed = new_state.completed_at
+                if completed == math.inf:
+                    raise _time_overflow("completion", message, self.clock)
                 if new_state.phase is SuPhase.SERVED:
                     self.per_su_response[agent_id] = completed - new_state.arrival_time
                 else:
@@ -271,9 +274,11 @@ class World:
         )
 
 
-def step(world: World) -> World:
-    """Dispatch one event; module-level alias for :meth:`World.step`."""
-    return world.step()
+def _time_overflow(what: str, message: Message, time: float) -> RuntimeError:
+    return RuntimeError(
+        f"{what} time overflows to inf: {_WIRE_NAMES[message.kind]} from "
+        f"{message.sender!r} to {message.recipient!r} at t={time!r}"
+    )
 
 
 def run(scenario: Scenario, event_cap: int | None = None) -> RunReport:

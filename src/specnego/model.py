@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import Mapping, Sequence
 
 from .topsis import CriterionSense
 
@@ -27,6 +28,7 @@ __all__ = [
     "MembershipOverride",
     "Scenario",
     "validate",
+    "check_override",
 ]
 
 # Offer criteria, in matrix column order: maximize channels and allocation
@@ -233,14 +235,14 @@ def validate(scenario: Scenario) -> list[str]:
             out.append(f"timing.{name}: must be >= 0 and finite, got {value}")
 
     if scenario.memberships is not None:
-        _check_override(
+        check_override(
             "memberships.cpu",
             scenario.memberships.cpu,
             {c.id for c in scenario.cpu_coordinators},
             {p.id for p in scenario.pus},
             out,
         )
-        _check_override(
+        check_override(
             "memberships.csu",
             scenario.memberships.csu,
             {c.id for c in scenario.csu_coordinators},
@@ -251,13 +253,14 @@ def validate(scenario: Scenario) -> list[str]:
     return out
 
 
-def _check_override(
+def check_override(
     path: str,
-    override: dict[str, tuple[str, ...]] | None,
+    override: Mapping[str, Sequence[str]] | None,
     coordinator_ids: set[str],
     member_ids: set[str],
     out: list[str],
 ) -> None:
+    """Append to ``out`` every unknown id, repeated member and left-out member."""
     if override is None:
         return
     counts: dict[str, int] = {}

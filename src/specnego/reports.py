@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from math import isfinite
 from pathlib import Path
 
 from .experiments import KIND_COLUMNS, MetricsTable
@@ -55,11 +54,12 @@ def render_events_jsonl(report: RunReport) -> str:
     """One compact JSON object per event, byte for byte what ``json.dumps`` writes.
 
     Each distinct string (agent id, kind, payload kind) is JSON-encoded once
-    per render; a finite time is its ``repr``, as ``json`` writes it.
+    per render; a time is its ``repr``, as ``json`` writes a finite float.
+    The kernel never logs a non-finite time: it raises on overflow instead.
     """
     enc = cache(json.dumps)
     lines = [
-        f'{{"time":{repr(time) if isfinite(time) else json.dumps(time)},"seq":{seq},'
+        f'{{"time":{time!r},"seq":{seq},'
         f'"kind":{enc(kind)},"from":{enc(sender)},"to":{enc(recipient)},'
         f'"payload_kind":{enc(payload_kind)}}}'
         for time, seq, kind, sender, recipient, payload_kind in report.event_log

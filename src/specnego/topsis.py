@@ -7,6 +7,11 @@ from both, and rank by relative closeness to the ideal.
 
 All stages are exposed individually so intermediate grids can be inspected
 or verified stage by stage; :func:`topsis` composes them.
+
+The stages are plain Python, a column at a time with ``map`` and
+:mod:`operator`, in a fixed arithmetic order: squares are ``x * x`` and every
+sum runs left to right with ``reduce(add, ...)``. Never ``sum()``: from Python
+3.12 on it is compensated, so the last digits would depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, mul, sub, truediv
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "CriterionSense",
@@ -106,31 +112,36 @@ class TopsisResult:
     ranking: list[int]
 
 
+def _columns(grid: Sequence[Sequence[float]], n: int, problem: str) -> list[tuple[float, ...]]:
+    if set(map(len, grid)) != {n}:
+        raise ValueError(problem)
+    return list(zip(*grid))
+
+
 def normalize(matrix: DecisionMatrix) -> list[list[float]]:
     """Divide each column by its Euclidean norm.
 
     A column whose norm is zero (all scores zero) is mapped to all zeros:
     a constant-zero criterion carries no preference information.
     """
-    x = np.asarray(matrix.scores, dtype=float)
-    norms = np.sqrt((x * x).sum(axis=0))
-    r = x / np.where(norms == 0.0, 1.0, norms)
-    return r.tolist()
+    columns = []
+    for column in zip(*matrix.scores):
+        norm = math.sqrt(reduce(add, map(mul, column, column)))
+        columns.append(map(truediv, column, repeat(norm or 1.0)))
+    return list(map(list, zip(*columns)))
 
 
 def apply_weights(
     normalized: Sequence[Sequence[float]], weights: Sequence[float]
 ) -> list[list[float]]:
     """Scale each normalized column by its weight (weights divided by their sum)."""
-    r = np.asarray(normalized, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if r.ndim != 2 or w.ndim != 1 or r.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"grid of shape {r.shape} does not match weight vector of length {w.shape}"
-        )
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    w = list(map(float, weights))
+    columns = _columns(normalized, len(w), f"grid rows do not match {len(w)} weights")
+    if not all(math.isfinite(x) and x > 0.0 for x in w):
         raise ValueError("weights must be positive finite numbers")
-    return (r * (w / w.sum())).tolist()
+    total = reduce(add, w)
+    weighted = [map(mul, column, repeat(x / total)) for column, x in zip(columns, w)]
+    return list(map(list, zip(*weighted)))
 
 
 def ideal_solutions(
@@ -141,15 +152,14 @@ def ideal_solutions(
     Benefit columns contribute their maximum to the ideal point and their
     minimum to the anti-ideal point; cost columns the reverse.
     """
-    v = np.asarray(weighted, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise ValueError("weighted grid must be a nonempty 2-D array")
-    if v.shape[1] != len(senses):
-        raise ValueError(f"grid has {v.shape[1]} columns but {len(senses)} senses given")
-    benefit = np.array([s is CriterionSense.BENEFIT for s in senses])
-    ideal = np.where(benefit, v.max(axis=0), v.min(axis=0))
-    anti = np.where(benefit, v.min(axis=0), v.max(axis=0))
-    return ideal.tolist(), anti.tolist()
+    columns = _columns(weighted, len(senses), f"grid must be nonempty with {len(senses)} columns")
+    ideal, anti = [], []
+    for column, sense in zip(columns, senses):
+        high, low = float(max(column)), float(min(column))
+        benefit = sense is CriterionSense.BENEFIT
+        ideal.append(high if benefit else low)
+        anti.append(low if benefit else high)
+    return ideal, anti
 
 
 def separations(
@@ -158,14 +168,20 @@ def separations(
     anti_ideal: Sequence[float],
 ) -> tuple[list[float], list[float]]:
     """Euclidean distance of every row from the ideal and anti-ideal points."""
-    v = np.asarray(weighted, dtype=float)
-    a_star = np.asarray(ideal, dtype=float)
-    a_anti = np.asarray(anti_ideal, dtype=float)
-    if v.ndim != 2 or v.shape[1] != a_star.shape[0] or v.shape[1] != a_anti.shape[0]:
-        raise ValueError("weighted grid and reference points disagree on column count")
-    sep_ideal = np.sqrt(((v - a_star) ** 2).sum(axis=1))
-    sep_anti = np.sqrt(((v - a_anti) ** 2).sum(axis=1))
-    return sep_ideal.tolist(), sep_anti.tolist()
+    problem = "weighted grid and reference points disagree on column count"
+    if len(ideal) != len(anti_ideal):
+        raise ValueError(problem)
+    columns = _columns(weighted, len(ideal), problem)
+    return _distances(columns, ideal), _distances(columns, anti_ideal)
+
+
+def _distances(columns: list[tuple[float, ...]], point: Sequence[float]) -> list[float]:
+    """Each row's distance from ``point``; a row's squares add left to right."""
+    squares = []
+    for column, p in zip(columns, point):
+        d = list(map(sub, column, repeat(float(p))))
+        squares.append(map(mul, d, d))
+    return list(map(math.sqrt, reduce(partial(map, add), squares)))
 
 
 def closeness_and_rank(
@@ -177,16 +193,15 @@ def closeness_and_rank(
     reference points (every alternative is identical); closeness is then 1
     so a singleton matrix ranks its only option as ideal.
     """
-    s_star = np.asarray(sep_ideal, dtype=float)
-    s_anti = np.asarray(sep_anti, dtype=float)
-    if s_star.shape != s_anti.shape or s_star.ndim != 1:
-        raise ValueError("separation vectors must be 1-D and of equal length")
-    if np.any(s_star < 0.0) or np.any(s_anti < 0.0):
+    s_star, s_anti = list(map(float, sep_ideal)), list(map(float, sep_anti))
+    if len(s_star) != len(s_anti):
+        raise ValueError("separation vectors must be of equal length")
+    if any(s < 0.0 for s in s_star + s_anti):
         raise ValueError("separations must be non-negative")
-    total = s_star + s_anti
-    closeness = np.where(total == 0.0, 1.0, s_anti / np.where(total == 0.0, 1.0, total))
-    ranking = np.lexsort((np.arange(len(closeness)), -closeness))
-    return closeness.tolist(), [int(i) for i in ranking]
+    closeness = [a / total if (total := s + a) else 1.0 for s, a in zip(s_star, s_anti)]
+    # a stable sort: equal closeness keeps ascending index order
+    ranking = sorted(range(len(closeness)), key=closeness.__getitem__, reverse=True)
+    return closeness, ranking
 
 
 def topsis(matrix: DecisionMatrix) -> TopsisResult:

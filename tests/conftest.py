@@ -38,6 +38,11 @@ CAR_CLOSENESS_FULL = (
 )
 
 
+def approx_grid(rows, **tolerance):
+    """``pytest.approx`` for a list of rows (``approx`` takes no nested lists)."""
+    return [pytest.approx(row, **tolerance) for row in rows]
+
+
 @pytest.fixture
 def car_matrix() -> DecisionMatrix:
     return DecisionMatrix(

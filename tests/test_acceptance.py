@@ -11,7 +11,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from _oracle import oracle_topsis
@@ -22,6 +21,7 @@ from conftest import (
     CAR_NORMALIZED_2DP,
     CAR_WEIGHTED_3DP,
     CAR_WEIGHTS,
+    approx_grid,
 )
 from specnego import (
     CriterionSense,
@@ -84,14 +84,14 @@ def test_criterion_1_worked_example_stages(car_matrix):
         # Each stage is checked against the worked example's reference
         # tables at their own precision, feeding each stage the reference
         # input (the tables are computed stage-from-rounded-stage).
-        assert np.allclose(normalize(car_matrix), CAR_NORMALIZED_2DP, atol=0.005)
+        assert normalize(car_matrix) == approx_grid(CAR_NORMALIZED_2DP, abs=0.005)
 
         weighted = apply_weights(CAR_NORMALIZED_2DP, CAR_WEIGHTS)
-        assert np.allclose(weighted, CAR_WEIGHTED_3DP, atol=0.0005)
+        assert weighted == approx_grid(CAR_WEIGHTED_3DP, abs=0.0005)
 
         ideal, anti = ideal_solutions(CAR_WEIGHTED_3DP, (B, B, B, B))
-        assert np.allclose(ideal, CAR_IDEAL, atol=0.0005)
-        assert np.allclose(anti, CAR_ANTI_IDEAL, atol=0.0005)
+        assert ideal == pytest.approx(CAR_IDEAL, abs=0.0005)
+        assert anti == pytest.approx(CAR_ANTI_IDEAL, abs=0.0005)
 
         sep_ideal, _ = separations(CAR_WEIGHTED_3DP, ideal, anti)
         assert sep_ideal[0] == pytest.approx(CAR_CIVIC_SEP_IDEAL, abs=0.0005)

@@ -1,9 +1,14 @@
 """Command-line interface tests: exit codes, outputs, env overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specnego
 from specnego import generate_scenario
 from specnego.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from specnego.scenario_io import scenario_to_json
@@ -128,3 +133,23 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "exp_v"])
         assert excinfo.value.code == EXIT_PARSE
+
+
+def test_runtime_never_imports_numpy(tmp_path):
+    # the package runs on the standard library alone
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(MATRIX_CSV, encoding="utf-8")
+    code = (
+        "import sys\n"
+        "import specnego\n"
+        "from specnego import cli, generate_scenario, run\n"
+        "run(generate_scenario('cpu_csu', pu_count=4, cpu_count=2, su_groups=(2, 2), seed=1))\n"
+        "assert cli.main(['topsis', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(specnego.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(matrix)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -69,7 +69,7 @@ class TestFormCoalitions:
         assert membership == {"near": [], "far": ["a", "b"]}
 
     def test_override_unknown_agent(self):
-        with pytest.raises(ValueError, match="unknown agent"):
+        with pytest.raises(ValueError, match="unknown member"):
             form_coalitions([("a", Zone(0, 0))], [("c", Zone(0, 0))], override={"c": ["x"]})
 
     def test_override_unknown_coordinator(self):
@@ -77,7 +77,7 @@ class TestFormCoalitions:
             form_coalitions([("a", Zone(0, 0))], [("c", Zone(0, 0))], override={"d": ["a"]})
 
     def test_override_must_cover_all_agents(self):
-        with pytest.raises(ValueError, match="unassigned"):
+        with pytest.raises(ValueError, match="not assigned"):
             form_coalitions(
                 [("a", Zone(0, 0)), ("b", Zone(0, 0))],
                 [("c", Zone(0, 0))],
@@ -85,7 +85,7 @@ class TestFormCoalitions:
             )
 
     def test_override_rejects_double_assignment(self):
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError, match="more than one coordinator"):
             form_coalitions(
                 [("a", Zone(0, 0))],
                 [("c", Zone(0, 0)), ("d", Zone(1, 1))],

@@ -22,6 +22,7 @@ from specnego import (
     validate,
 )
 from specnego.charts import render_chart
+from specnego.cli import EXIT_RUNTIME, main
 from specnego.experiments import MetricsTable, experiment_spec, run_experiment
 from specnego.matrix_io import closeness_csv, parse_matrix_csv
 from specnego.reports import (
@@ -262,13 +263,11 @@ class TestReportExports:
                  SecondaryUser("su\u00e9", Zone(0, 2), 1, 5.0),
                  SecondaryUser("su\u96ea", Zone(0, 3), 2, 5.0)),
         ),
-        # times json writes specially: -0.0, and a sum that overflows to inf
+        # a time json writes specially: -0.0 (an overflow to inf raises, see below)
         Scenario(
             topology="no_coalition",
             pus=(PrimaryUser("pu0", Zone(0, 0), 2, 10.0, 60.0),),
-            sus=(SecondaryUser("su0", Zone(0, 1), 1, -0.0),
-                 SecondaryUser("su1", Zone(0, 2), 1, 1e308)),
-            timing=TimingConstants(latency=1e308),
+            sus=(SecondaryUser("su0", Zone(0, 1), 1, -0.0),),
         ),
     ], ids=["escaped_ids", "special_times"])
     def test_events_jsonl_matches_json_dumps(self, scenario):
@@ -295,6 +294,39 @@ class TestReportExports:
             decoded = json.loads(line)
             assert (decoded["from"], decoded["to"]) == (event.sender, event.recipient)
             assert decoded["payload_kind"] == event.payload_kind
+
+    def test_delivery_time_overflow_raises(self, tmp_path):
+        # finite timing values whose sum overflows: 1e308 + 0 + 1e308 is inf
+        scenario = Scenario(
+            topology="no_coalition",
+            pus=(PrimaryUser("pu0", Zone(0, 0), 2, 10.0, 60.0),),
+            sus=(SecondaryUser("su0", Zone(0, 1), 1, -0.0),
+                 SecondaryUser("su1", Zone(0, 2), 1, 1e308)),
+            timing=TimingConstants(latency=1e308),
+        )
+        assert validate(scenario) == []
+        with pytest.raises(
+            RuntimeError,
+            match=r"delivery time overflows to inf: CfpSingle from 'su1' to 'pu0' at t=1e\+308",
+        ):
+            run(scenario)
+        path = tmp_path / "overflow.json"
+        path.write_text(scenario_to_json(scenario), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        assert not (out / "events.jsonl").exists()
+
+    def test_completion_time_overflow_raises(self):
+        # every send is finite, but ranking two offers costs 2e308
+        scenario = Scenario(
+            topology="no_coalition",
+            pus=(PrimaryUser("pu0", Zone(0, 0), 2, 10.0, 60.0),
+                 PrimaryUser("pu1", Zone(1, 0), 2, 10.0, 60.0)),
+            sus=(SecondaryUser("su0", Zone(0, 1), 1, 0.0),),
+            timing=TimingConstants(rank_per_offer=1e308),
+        )
+        with pytest.raises(RuntimeError, match="completion time overflows to inf: CpuOffer"):
+            run(scenario)
 
     def test_reexport_is_byte_identical(self, report, tmp_path):
         first = {p.name: p.read_bytes() for p in export_report(report, tmp_path / "a")}

@@ -19,7 +19,6 @@ from specnego import (
     Zone,
     generate_scenario,
     run,
-    step,
 )
 from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent, SimEvent
 from specnego.reports import render_events_jsonl, render_metrics_csv
@@ -69,7 +68,7 @@ class TestHandTrace:
 class TestStep:
     def test_single_step_advances_clock_and_log(self):
         world = World(reference_scenario((1,)))
-        step(world)
+        world.step()
         assert len(world.event_log) == 1
         assert world.clock == 0.0
         assert world.event_log[0].payload_kind == "ParamUpdate"
@@ -85,8 +84,8 @@ class TestStep:
             ),
         )
         world = World(scenario)
-        step(world)
-        step(world)
+        world.step()
+        world.step()
         # insertion order (scenario order), not id order
         assert [e.sender for e in world.event_log] == ["sb", "sa"]
         assert [e.seq for e in world.event_log] == [0, 1]
@@ -95,7 +94,7 @@ class TestStep:
         world = World(reference_scenario((1,)))
         world.run_to_quiescence()
         with pytest.raises(ValueError, match="empty"):
-            step(world)
+            world.step()
 
     def test_delivery_to_unknown_agent_fails(self):
         world = World(reference_scenario((1,)))
@@ -105,7 +104,7 @@ class TestStep:
         )
         with pytest.raises(ValueError, match="unknown agent"):
             for _ in range(30):
-                step(world)
+                world.step()
 
     def test_report_before_quiescence_fails(self):
         world = World(reference_scenario((1,)))

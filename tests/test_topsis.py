@@ -1,6 +1,7 @@
 """Unit and property tests for the TOPSIS engine."""
 
-import numpy as np
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from conftest import (
     CAR_NORMALIZED_2DP,
     CAR_WEIGHTED_3DP,
     CAR_WEIGHTS,
+    approx_grid,
 )
 from specnego import (
     CriterionSense,
@@ -75,14 +77,14 @@ class TestDecisionMatrix:
 class TestNormalize:
     def test_car_matrix_matches_reference_table(self, car_matrix):
         r = normalize(car_matrix)
-        assert np.allclose(r, CAR_NORMALIZED_2DP, atol=0.005)
+        assert r == approx_grid(CAR_NORMALIZED_2DP, abs=0.005)
 
     def test_car_style_column(self, car_matrix):
         # column (7, 8, 9, 6), norm sqrt(230)
         r = normalize(car_matrix)
         column = [row[0] for row in r]
-        assert column == pytest.approx([7, 8, 9, 6] / np.sqrt(230))
-        assert np.round(column, 2).tolist() == [0.46, 0.53, 0.59, 0.40]
+        assert column == pytest.approx([x / math.sqrt(230) for x in (7, 8, 9, 6)])
+        assert [round(x, 2) for x in column] == [0.46, 0.53, 0.59, 0.40]
 
     def test_single_alternative_self_normalizes(self):
         assert normalize(make_matrix(((5.0,),))) == [[1.0]]
@@ -92,8 +94,9 @@ class TestNormalize:
         assert [row[0] for row in r] == [0.0, 0.0]
 
     def test_unit_column_norms(self):
-        r = np.asarray(normalize(make_matrix(((3.0, 1.0), (4.0, 2.0)))))
-        assert np.allclose(np.sqrt((r * r).sum(axis=0)), 1.0)
+        r = normalize(make_matrix(((3.0, 1.0), (4.0, 2.0))))
+        norms = [math.hypot(*column) for column in zip(*r)]
+        assert norms == pytest.approx([1.0, 1.0], rel=1e-5, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,7 @@ class TestApplyWeights:
         # Applying the weights to the reference (rounded) normalized grid
         # reproduces the reference weighted grid exactly.
         v = apply_weights(CAR_NORMALIZED_2DP, CAR_WEIGHTS)
-        assert np.allclose(v, CAR_WEIGHTED_3DP, atol=1e-12)
+        assert v == approx_grid(CAR_WEIGHTED_3DP, abs=1e-12)
 
     def test_civic_row(self):
         v = apply_weights(CAR_NORMALIZED_2DP, CAR_WEIGHTS)
@@ -115,7 +118,7 @@ class TestApplyWeights:
     def test_weight_scaling_is_internalized(self):
         scaled = apply_weights(CAR_NORMALIZED_2DP, (2, 8, 6, 4))
         plain = apply_weights(CAR_NORMALIZED_2DP, CAR_WEIGHTS)
-        assert np.allclose(scaled, plain, atol=1e-12)
+        assert scaled == approx_grid(plain, abs=1e-12)
 
     def test_identity_weight(self):
         assert apply_weights([[1.0], [0.8]], (1.0,)) == [[1.0], [0.8]]
