@@ -5,7 +5,7 @@ primary-user and secondary-user coalitions in a cognitive-radio network,
 built around a reusable TOPSIS multi-criteria decision engine.
 """
 
-from .coalitions import ParamRegistry, RegistryEntry, best_offer, form_coalitions, register_params
+from .coalitions import ParamRegistry, best_offer, form_coalitions, register_params
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentSpec,

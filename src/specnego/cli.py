@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    specnego run <scenario.json> [--out DIR] [--seed N]
+    specnego run <scenario.json> [--out DIR]
     specnego experiment <exp_i|exp_ii|exp_iii|exp_iv> [--out DIR] [--seed N]
                         [--su-sweep 5,10,15] [--no-plots]
     specnego topsis <matrix.csv>
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .charts import emit_plot
@@ -58,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one scenario file")
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("./out"))
-    p_run.add_argument(
-        "--seed", type=int, default=None,
-        help="override the scenario's seed label; dispatch uses no RNG, so no output changes",
-    )
 
     p_exp = sub.add_parser("experiment", help="run a built-in study")
     p_exp.add_argument("id", choices=EXPERIMENT_IDS)
@@ -100,8 +95,6 @@ def _load_scenario(path: Path):
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     problems = validate(scenario)
     if problems:
         for problem in problems:

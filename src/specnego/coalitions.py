@@ -29,7 +29,6 @@ from .topsis import DecisionMatrix, topsis
 
 __all__ = [
     "Membership",
-    "RegistryEntry",
     "ParamRegistry",
     "form_coalitions",
     "register_params",
@@ -98,27 +97,18 @@ def _check_finite(role: str, agent_id: str, zone: Zone) -> None:
 
 
 @dataclass(frozen=True)
-class RegistryEntry:
-    """One member PU's advertised parameters and when they were last set."""
-
-    channels: int
-    price: float
-    alloc_time: float
-    last_update_time: float
-
-
-@dataclass(frozen=True)
 class ParamRegistry:
-    """A PU-coalition coordinator's live table of member parameters.
+    """A PU-coalition coordinator's live table of member offers.
 
-    Only declared members may register; entries hold the latest snapshot
-    (no history). An instance is one registry version: ``register_params``
-    returns a new one, and ``entries`` must not be mutated in place.
+    Only declared members may register; entries hold each member's latest
+    offer (no history). An instance is one registry version:
+    ``register_params`` returns a new one, and ``entries`` must not be mutated
+    in place.
     """
 
     coordinator_id: str
     members: tuple[str, ...]
-    entries: dict[str, RegistryEntry] = field(default_factory=dict)
+    entries: dict[str, Offer] = field(default_factory=dict)
     # best_offer's winner per weights tuple; every new instance starts empty
     _best: dict[tuple[float, ...], Offer | None] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -128,28 +118,18 @@ class ParamRegistry:
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
 
-def register_params(
-    registry: ParamRegistry,
-    pu_id: str,
-    channels: int,
-    price: float,
-    alloc_time: float,
-    t: float,
-) -> ParamRegistry:
-    """Replace (or create) a member's entry; returns the updated registry."""
-    if pu_id not in registry.members:
-        raise ValueError(
-            f"{pu_id!r} is not a member of coalition {registry.coordinator_id!r}"
-        )
-    entries = dict(registry.entries)
-    entries[pu_id] = RegistryEntry(int(channels), float(price), float(alloc_time), float(t))
-    return replace(registry, entries=entries)
+def register_params(registry: ParamRegistry, offer: Offer) -> ParamRegistry:
+    """Replace (or create) a member's offer; returns the updated registry."""
+    me = registry.coordinator_id
+    if offer.pu_id not in registry.members:
+        raise ValueError(f"{offer.pu_id!r} is not a member of coalition {me!r}")
+    if offer.cpu_id != me:
+        raise ValueError(f"offer of {offer.pu_id!r} names coordinator {offer.cpu_id!r}, not {me!r}")
+    return replace(registry, entries={**registry.entries, offer.pu_id: offer})
 
 
-def best_offer(
-    registry: ParamRegistry, weights: Sequence[float]
-) -> Offer | None:
-    """TOPSIS-select the best registered member and return its offer.
+def best_offer(registry: ParamRegistry, weights: Sequence[float]) -> Offer | None:
+    """TOPSIS-select the best registered member offer and return it.
 
     Members advertising zero channels are excluded before ranking (an
     unusable offer must not win on price or allocation time). Returns None
@@ -164,26 +144,17 @@ def best_offer(
 
 def _select_offer(registry: ParamRegistry, weights: tuple[float, ...]) -> Offer | None:
     candidates = [
-        (pu_id, entry)
+        offer
         for pu_id in registry.members
-        if (entry := registry.entries.get(pu_id)) is not None and entry.channels > 0
+        if (offer := registry.entries.get(pu_id)) is not None and offer.channels > 0
     ]
     if not candidates:
         return None
     matrix = DecisionMatrix(
-        alternatives=tuple(pu_id for pu_id, _ in candidates),
+        alternatives=tuple(o.pu_id for o in candidates),
         criteria=CRITERION_LABELS,
-        scores=tuple(
-            (entry.channels, entry.price, entry.alloc_time) for _, entry in candidates
-        ),
+        scores=tuple((o.channels, o.price, o.alloc_time) for o in candidates),
         weights=weights,
         senses=CRITERIA_SENSES,
     )
-    winner_id, winner = candidates[topsis(matrix).ranking[0]]
-    return Offer(
-        pu_id=winner_id,
-        cpu_id=registry.coordinator_id,
-        channels=winner.channels,
-        price=winner.price,
-        alloc_time=winner.alloc_time,
-    )
+    return candidates[topsis(matrix).ranking[0]]

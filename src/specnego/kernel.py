@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .coalitions import ParamRegistry, RegistryEntry
-from .model import Scenario, validate
+from .coalitions import ParamRegistry
+from .model import Offer, Scenario, validate
 from .protocol import (
     Allocation,
     HandlerContext,
@@ -28,7 +28,6 @@ from .protocol import (
     MessageKind,
     PrimaryUserState,
     PuCoalitionState,
-    PuParams,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -92,7 +91,7 @@ class RunReport:
     allocations: list[Allocation]
     quiescent_at: float
     protocol_violations: list[str]
-    registries: dict[str, dict[str, RegistryEntry]]
+    registries: dict[str, dict[str, Offer]]
     final_capacities: dict[str, int]
 
 
@@ -114,7 +113,7 @@ class World:
         self.clock = 0.0
         self.dispatched = 0
         self._seq = 0
-        self._queue: list[tuple[float, int, SimEvent]] = []
+        self._queue: list[SimEvent] = []
 
         self.capacities: dict[str, int] = {pu.id: pu.channels for pu in scenario.pus}
         self.ctx = HandlerContext(
@@ -126,7 +125,8 @@ class World:
 
         self.states: dict[str, object] = {}
         for pu in scenario.pus:
-            self.states[pu.id] = PrimaryUserState(pu.id, pu.price, pu.alloc_time)
+            offer = Offer(pu.id, pu.id, pu.channels, pu.price, pu.alloc_time)
+            self.states[pu.id] = PrimaryUserState(pu.id, offer)
         for cpu_id, members in self.plan.cpu_membership.items():
             registry = ParamRegistry(coordinator_id=cpu_id, members=tuple(members))
             self.states[cpu_id] = PuCoalitionState(cpu_id, registry)
@@ -150,12 +150,9 @@ class World:
         # coalition topologies, and one wake per SU at its arrival time.
         if self.plan.topology in ("cpu_only", "cpu_csu"):
             for pu in scenario.pus:
-                message = Message(
-                    MessageKind.PARAM_UPDATE,
-                    pu.id,
-                    self.plan.cpu_of_pu[pu.id],
-                    PuParams(pu.channels, pu.price, pu.alloc_time),
-                )
+                cpu_id = self.plan.cpu_of_pu[pu.id]
+                offer = Offer(pu.id, cpu_id, pu.channels, pu.price, pu.alloc_time)
+                message = Message(MessageKind.PARAM_UPDATE, pu.id, cpu_id, offer)
                 self._schedule(0.0, DELIVER, message=message)
                 self.sent += 1
         for su in scenario.sus:
@@ -166,7 +163,8 @@ class World:
     ) -> None:
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, SimEvent(time, seq, kind, message, agent_id)))
+        # seq is unique, so heap comparisons never reach the message
+        heapq.heappush(self._queue, SimEvent(time, seq, kind, message, agent_id))
 
     @property
     def pending(self) -> int:
@@ -176,8 +174,7 @@ class World:
         """Dispatch the single earliest (time, seq) event."""
         if not self._queue:
             raise ValueError("step on an empty event queue")
-        time, _, event = heapq.heappop(self._queue)
-        _, seq, kind, message, agent_id = event
+        time, seq, kind, message, agent_id = heapq.heappop(self._queue)
         self.clock = time
         self.dispatched += 1
 

@@ -10,17 +10,28 @@ senses rows)::
     pu2,5,9.0,45
 
 Output lists every alternative in input order with its closeness
-coefficient and 1-based rank.
+coefficient and 1-based rank. A text field that holds ``,``, ``"``, CR or LF
+is quoted as RFC 4180 says (:func:`csv_field`), here and in the run exports.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 
 from .topsis import CriterionSense, DecisionMatrix, TopsisResult
 
-__all__ = ["parse_matrix_csv", "closeness_csv"]
+__all__ = ["parse_matrix_csv", "closeness_csv", "csv_field"]
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with ``"`` doubled, only when it must be."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def parse_matrix_csv(text: str) -> DecisionMatrix:
@@ -80,5 +91,5 @@ def closeness_csv(matrix: DecisionMatrix, result: TopsisResult) -> str:
     rank_of = {alt_index: position + 1 for position, alt_index in enumerate(result.ranking)}
     lines = ["alternative,closeness,rank"]
     for i, name in enumerate(matrix.alternatives):
-        lines.append(f"{name},{result.closeness[i]!r},{rank_of[i]}")
+        lines.append(f"{csv_field(name)},{result.closeness[i]!r},{rank_of[i]}")
     return "\n".join(lines) + "\n"

@@ -95,7 +95,7 @@ class Coordinator:
 
 @dataclass(frozen=True)
 class Offer:
-    """A proposed allocation, copied from the selected PU's parameters."""
+    """A PU's terms, sent on by coordinator ``cpu_id`` (the PU itself when it answers directly)."""
 
     pu_id: str
     cpu_id: str

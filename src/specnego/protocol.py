@@ -30,7 +30,6 @@ from .topsis import DecisionMatrix, topsis
 __all__ = [
     "MessageKind",
     "Demand",
-    "PuParams",
     "CoordinatorReply",
     "Message",
     "Allocation",
@@ -73,15 +72,6 @@ class Demand:
 
 
 @dataclass(frozen=True)
-class PuParams:
-    """A PU's advertised parameters, as carried by ParamUpdate."""
-
-    channels: int
-    price: float
-    alloc_time: float
-
-
-@dataclass(frozen=True)
 class CoordinatorReply:
     """Payload of CpuOffer/CpuNoOffer.
 
@@ -95,7 +85,7 @@ class CoordinatorReply:
 
 # The payload check of each message kind.
 _PAYLOAD_RULES: dict[MessageKind, Callable[[object], bool]] = {
-    MessageKind.PARAM_UPDATE: lambda p: isinstance(p, PuParams),
+    MessageKind.PARAM_UPDATE: lambda p: isinstance(p, Offer),
     MessageKind.SU_REQUEST: lambda p: isinstance(p, Demand),
     MessageKind.CFP: lambda p: isinstance(p, tuple) and all(isinstance(d, Demand) for d in p),
     MessageKind.CFP_SINGLE: lambda p: isinstance(p, Demand),
@@ -150,10 +140,7 @@ class CsuPhase(Enum):
 @dataclass(frozen=True)
 class PrimaryUserState:
     agent_id: str
-    price: float
-    alloc_time: float
-    # the last offer made; reused while the live capacity is unchanged
-    offer: Offer | None = field(default=None, compare=False, repr=False)
+    offer: Offer  # the PU's terms at the capacity it last quoted
 
 
 @dataclass(frozen=True)
@@ -196,7 +183,6 @@ class TopologyPlan:
     aggregation: bool
     pu_ids: tuple[str, ...]
     cpu_ids: tuple[str, ...]
-    csu_ids: tuple[str, ...]
     cpu_membership: Membership
     csu_membership: Membership
     cpu_of_pu: dict[str, str]
@@ -224,7 +210,6 @@ def topology_plan(scenario: Scenario) -> TopologyPlan:
         aggregation=scenario.aggregation,
         pu_ids=tuple(sorted(pu.id for pu in scenario.pus)),
         cpu_ids=tuple(sorted(cpu_membership)),
-        csu_ids=tuple(sorted(csu_membership)),
         cpu_membership=cpu_membership,
         csu_membership=csu_membership,
         cpu_of_pu={m: cid for cid, members in cpu_membership.items() for m in members},
@@ -352,12 +337,9 @@ def _handle_pu(
     capacity = ctx.capacities.get(me, 0)
     if capacity > 0:
         offer = state.offer
-        if offer is None or offer.channels != capacity:
-            offer = Offer(
-                pu_id=me, cpu_id=me, channels=capacity, price=state.price,
-                alloc_time=state.alloc_time,
-            )
-            state = PrimaryUserState(me, state.price, state.alloc_time, offer)
+        if offer.channels != capacity:
+            offer = Offer(me, offer.cpu_id, capacity, offer.price, offer.alloc_time)
+            state = PrimaryUserState(me, offer)
         reply = Message(
             MessageKind.CPU_OFFER, me, msg.sender, CoordinatorReply(offer, msg.payload.su_id)
         )
@@ -373,10 +355,9 @@ def _handle_cpu(
 ) -> HandlerResult:
     me = state.agent_id
     if msg.kind is MessageKind.PARAM_UPDATE:
-        params: PuParams = msg.payload
-        registry = register_params(
-            state.registry, msg.sender, params.channels, params.price, params.alloc_time, now
-        )
+        if msg.payload.pu_id != msg.sender:
+            return _violation(state, me, f"ParamUpdate from {msg.sender!r} for another PU", now)
+        registry = register_params(state.registry, msg.payload)
         return HandlerResult(state=replace(state, registry=registry))
     if msg.kind in (MessageKind.CFP, MessageKind.CFP_SINGLE):
         ref = msg.payload.su_id if msg.kind is MessageKind.CFP_SINGLE else None

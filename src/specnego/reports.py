@@ -2,7 +2,8 @@
 
 Every renderer is a pure string builder, so re-exporting the same report or
 table produces byte-identical files. Floats are written with ``repr`` (exact
-round-trip form); CSV uses ``,`` separators and ``.`` decimal points.
+round-trip form); CSV uses ``,`` separators and ``.`` decimal points, and a
+field holding an agent id is quoted when the id needs it (``csv_field``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from .experiments import KIND_COLUMNS, MetricsTable
 from .kernel import RunReport
+from .matrix_io import csv_field
 
 __all__ = [
     "render_metrics_csv",
@@ -46,7 +48,8 @@ def render_metrics_csv(report: RunReport) -> str:
     lines.append(f"protocol_violations,{len(report.protocol_violations)}")
     for su_id in sorted(report.per_su_response):
         value = report.per_su_response[su_id]
-        lines.append(f"response_{su_id},{'unserved' if value is None else _value(value)}")
+        field = csv_field(f"response_{su_id}")
+        lines.append(f"{field},{'unserved' if value is None else _value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -71,8 +74,8 @@ def render_allocations_csv(report: RunReport) -> str:
     lines = ["su_id,pu_id,cpu_id,granted_channels,offer_channels,price,alloc_time"]
     for a in report.allocations:
         lines.append(
-            f"{a.su_id},{a.offer.pu_id},{a.offer.cpu_id},{a.granted_channels},"
-            f"{a.offer.channels},{a.offer.price!r},{a.offer.alloc_time!r}"
+            f"{csv_field(a.su_id)},{csv_field(a.offer.pu_id)},{csv_field(a.offer.cpu_id)},"
+            f"{a.granted_channels},{a.offer.channels},{a.offer.price!r},{a.offer.alloc_time!r}"
         )
     return "\n".join(lines) + "\n"
 

@@ -20,15 +20,19 @@ error)::
                       "csu": {"csu0": ["su0"]}}          // optional
     }
 
-Criterion senses are fixed (maximize channels and allocation time, minimize
-price) and therefore not part of the document.
+An agent record has exactly the fields of :class:`model.PrimaryUser`,
+:class:`model.SecondaryUser` or :class:`model.Coordinator`, each checked by
+its annotation. Criterion senses are fixed (maximize channels and allocation
+time, minimize price) and therefore not part of the document.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import asdict, fields
+from functools import cache
+from typing import get_type_hints
 
 from .model import (
     DEFAULT_WEIGHTS,
@@ -53,9 +57,6 @@ _TOP_KEYS = {
     "pus", "sus", "cpu_coordinators", "csu_coordinators", "memberships",
 }
 _TIMING_KEYS = tuple(f.name for f in fields(TimingConstants))  # declaration order
-_PU_KEYS = {"id", "zone", "channels", "price", "alloc_time"}
-_SU_KEYS = {"id", "zone", "channels_requested", "arrival_time"}
-_COORD_KEYS = {"id", "zone"}
 
 
 def _fail(path: str, message: str) -> None:
@@ -71,28 +72,19 @@ def _check_keys(obj: dict, allowed: Collection[str], required: set[str], path: s
             _fail(f"{path}.{key}" if path else key, "missing required field")
 
 
-def _as_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
+def _of_type(cls: type, noun: str) -> Callable:
+    """A check that a value is a ``cls``, naming the type it got otherwise."""
+    def check(value, path: str):
+        if not isinstance(value, cls):
+            _fail(path, f"expected {noun}, got {type(value).__name__}")
+        return value
+    return check
 
 
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"expected a boolean, got {type(value).__name__}")
-    return value
+_as_dict = _of_type(dict, "an object")
+_as_list = _of_type(list, "an array")
+_as_str = _of_type(str, "a string")
+_as_bool = _of_type(bool, "a boolean")
 
 
 def _as_int(value, path: str) -> int:
@@ -112,6 +104,38 @@ def _as_zone(value, path: str) -> Zone:
     if len(arr) != 2:
         _fail(path, f"expected [x, y], got {len(arr)} entries")
     return Zone(_as_number(arr[0], f"{path}[0]"), _as_number(arr[1], f"{path}[1]"))
+
+
+_CONVERTERS = {str: _as_str, int: _as_int, float: _as_number, Zone: _as_zone}
+
+
+@cache
+def _record_fields(cls) -> tuple[tuple[str, Callable], ...]:
+    """Each field of an agent record with the converter for its annotation."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _CONVERTERS[hints[f.name]]) for f in fields(cls))
+
+
+def _parse_records(doc: dict, key: str, cls) -> tuple:
+    """The ``cls`` records of array ``doc[key]`` (default empty), all fields required."""
+    converters = _record_fields(cls)
+    names = {name for name, _ in converters}
+    out = []
+    for i, item in enumerate(_as_list(doc.get(key, []), key)):
+        path = f"{key}[{i}]"
+        obj = _as_dict(item, path)
+        _check_keys(obj, names, names, path)
+        out.append(cls(**{name: conv(obj[name], f"{path}.{name}") for name, conv in converters}))
+    return tuple(out)
+
+
+def _record_docs(records) -> list[dict]:
+    """Agent records as document objects: fields in declaration order, a zone as [x, y]."""
+    return [
+        {name: [v.x, v.y] if isinstance(v := getattr(r, name), Zone) else v
+         for name, _ in _record_fields(type(r))}
+        for r in records
+    ]
 
 
 def _parse_membership_side(value, path: str) -> dict[str, tuple[str, ...]]:
@@ -151,63 +175,24 @@ def parse_scenario(data: bytes | str) -> Scenario:
         if key in timing_doc
     })
 
-    pus = []
-    for i, item in enumerate(_as_list(doc["pus"], "pus")):
-        obj = _as_dict(item, f"pus[{i}]")
-        _check_keys(obj, _PU_KEYS, _PU_KEYS, f"pus[{i}]")
-        pus.append(
-            PrimaryUser(
-                id=_as_str(obj["id"], f"pus[{i}].id"),
-                zone=_as_zone(obj["zone"], f"pus[{i}].zone"),
-                channels=_as_int(obj["channels"], f"pus[{i}].channels"),
-                price=_as_number(obj["price"], f"pus[{i}].price"),
-                alloc_time=_as_number(obj["alloc_time"], f"pus[{i}].alloc_time"),
-            )
-        )
-
-    sus = []
-    for i, item in enumerate(_as_list(doc["sus"], "sus")):
-        obj = _as_dict(item, f"sus[{i}]")
-        _check_keys(obj, _SU_KEYS, _SU_KEYS, f"sus[{i}]")
-        sus.append(
-            SecondaryUser(
-                id=_as_str(obj["id"], f"sus[{i}].id"),
-                zone=_as_zone(obj["zone"], f"sus[{i}].zone"),
-                channels_requested=_as_int(
-                    obj["channels_requested"], f"sus[{i}].channels_requested"
-                ),
-                arrival_time=_as_number(obj["arrival_time"], f"sus[{i}].arrival_time"),
-            )
-        )
-
-    def coordinators(key: str) -> tuple[Coordinator, ...]:
-        out = []
-        for i, item in enumerate(_as_list(doc.get(key, []), key)):
-            obj = _as_dict(item, f"{key}[{i}]")
-            _check_keys(obj, _COORD_KEYS, _COORD_KEYS, f"{key}[{i}]")
-            out.append(
-                Coordinator(
-                    _as_str(obj["id"], f"{key}[{i}].id"),
-                    _as_zone(obj["zone"], f"{key}[{i}].zone"),
-                )
-            )
-        return tuple(out)
+    pus = _parse_records(doc, "pus", PrimaryUser)
+    sus = _parse_records(doc, "sus", SecondaryUser)
 
     memberships = None
     if doc.get("memberships") is not None:
         obj = _as_dict(doc["memberships"], "memberships")
         _check_keys(obj, {"cpu", "csu"}, set(), "memberships")
-        memberships = MembershipOverride(
-            cpu=_parse_membership_side(obj["cpu"], "memberships.cpu") if "cpu" in obj else None,
-            csu=_parse_membership_side(obj["csu"], "memberships.csu") if "csu" in obj else None,
-        )
+        memberships = MembershipOverride(**{
+            side: _parse_membership_side(obj[side], f"memberships.{side}")
+            for side in ("cpu", "csu") if side in obj
+        })
 
     return Scenario(
         topology=topology,
-        pus=tuple(pus),
-        sus=tuple(sus),
-        cpu_coordinators=coordinators("cpu_coordinators"),
-        csu_coordinators=coordinators("csu_coordinators"),
+        pus=pus,
+        sus=sus,
+        cpu_coordinators=_parse_records(doc, "cpu_coordinators", Coordinator),
+        csu_coordinators=_parse_records(doc, "csu_coordinators", Coordinator),
         aggregation=aggregation,
         seed=seed,
         weights=weights,
@@ -218,44 +203,21 @@ def parse_scenario(data: bytes | str) -> Scenario:
 
 def scenario_to_json(scenario: Scenario) -> str:
     """Serialize to the canonical document form (all keys present, 2-space indent)."""
-    memberships = None
-    if scenario.memberships is not None:
-        memberships = {}
-        if scenario.memberships.cpu is not None:
-            memberships["cpu"] = {k: list(v) for k, v in scenario.memberships.cpu.items()}
-        if scenario.memberships.csu is not None:
-            memberships["csu"] = {k: list(v) for k, v in scenario.memberships.csu.items()}
+    override = scenario.memberships
+    memberships = None if override is None else {
+        side: {k: list(v) for k, v in m.items()}
+        for side in ("cpu", "csu") if (m := getattr(override, side)) is not None
+    }
     doc = {
         "seed": scenario.seed,
         "topology": scenario.topology,
         "aggregation": scenario.aggregation,
         "weights": list(scenario.weights),
         "timing": asdict(scenario.timing),
-        "pus": [
-            {
-                "id": pu.id,
-                "zone": [pu.zone.x, pu.zone.y],
-                "channels": pu.channels,
-                "price": pu.price,
-                "alloc_time": pu.alloc_time,
-            }
-            for pu in scenario.pus
-        ],
-        "sus": [
-            {
-                "id": su.id,
-                "zone": [su.zone.x, su.zone.y],
-                "channels_requested": su.channels_requested,
-                "arrival_time": su.arrival_time,
-            }
-            for su in scenario.sus
-        ],
-        "cpu_coordinators": [
-            {"id": c.id, "zone": [c.zone.x, c.zone.y]} for c in scenario.cpu_coordinators
-        ],
-        "csu_coordinators": [
-            {"id": c.id, "zone": [c.zone.x, c.zone.y]} for c in scenario.csu_coordinators
-        ],
+        "pus": _record_docs(scenario.pus),
+        "sus": _record_docs(scenario.sus),
+        "cpu_coordinators": _record_docs(scenario.cpu_coordinators),
+        "csu_coordinators": _record_docs(scenario.csu_coordinators),
         "memberships": memberships,
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracle import oracle_topsis
 import specnego.coalitions
 from specnego import (
+    Offer,
     ParamRegistry,
     Zone,
     best_offer,
@@ -220,34 +221,38 @@ class TestFormCoalitionsExact:
 class TestParamRegistry:
     def test_write_then_read(self):
         registry = ParamRegistry("cpu0", ("pu3",))
-        registry = register_params(registry, "pu3", 4, 10.0, 60.0, 0.0)
+        registry = register_params(registry, Offer("pu3", "cpu0", 4, 10.0, 60.0))
         entry = registry.entries["pu3"]
-        assert (entry.channels, entry.price, entry.alloc_time, entry.last_update_time) == (
-            4, 10.0, 60.0, 0.0,
-        )
+        assert (entry.channels, entry.price, entry.alloc_time) == (4, 10.0, 60.0)
 
     def test_latest_registration_wins(self):
         registry = ParamRegistry("cpu0", ("pu3",))
-        registry = register_params(registry, "pu3", 4, 10.0, 60.0, 0.0)
-        registry = register_params(registry, "pu3", 2, 12.0, 30.0, 5.0)
+        registry = register_params(registry, Offer("pu3", "cpu0", 4, 10.0, 60.0))
+        registry = register_params(registry, Offer("pu3", "cpu0", 2, 12.0, 30.0))
         entry = registry.entries["pu3"]
-        assert (entry.channels, entry.last_update_time) == (2, 5.0)
+        assert entry.channels == 2
 
     def test_non_member_rejected(self):
         registry = ParamRegistry("cpu0", ("pu3",))
         with pytest.raises(ValueError, match="not a member"):
-            register_params(registry, "pu9", 4, 10.0, 60.0, 0.0)
+            register_params(registry, Offer("pu9", "cpu0", 4, 10.0, 60.0))
+
+    def test_foreign_coordinator_rejected(self):
+        registry = ParamRegistry("cpu0", ("pu3",))
+        with pytest.raises(ValueError, match="names coordinator 'cpu1', not 'cpu0'"):
+            register_params(registry, Offer("pu3", "cpu1", 4, 10.0, 60.0))
+        assert registry.entries == {}
 
     def test_registry_is_persistent_value(self):
         registry = ParamRegistry("cpu0", ("pu3",))
-        updated = register_params(registry, "pu3", 4, 10.0, 60.0, 0.0)
+        updated = register_params(registry, Offer("pu3", "cpu0", 4, 10.0, 60.0))
         assert registry.entries == {} and "pu3" in updated.entries
 
 
 def registry_of(members):
     registry = ParamRegistry("cpu0", tuple(pu_id for pu_id, *_ in members))
     for pu_id, channels, price, alloc_time in members:
-        registry = register_params(registry, pu_id, channels, price, alloc_time, 0.0)
+        registry = register_params(registry, Offer(pu_id, "cpu0", channels, price, alloc_time))
     return registry
 
 
@@ -259,6 +264,11 @@ class TestBestOffer:
         offer = best_offer(registry, WEIGHTS)
         assert offer.pu_id == "b" and offer.cpu_id == "cpu0"
         assert (offer.channels, offer.price, offer.alloc_time) == (4, 8.0, 60.0)
+
+    def test_returns_the_registered_offer(self):
+        registry = registry_of([("a", 3, 5.0, 30.0), ("b", 5, 9.0, 45.0)])
+        offer = best_offer(registry, WEIGHTS)
+        assert offer is registry.entries[offer.pu_id]
 
     def test_single_member(self):
         offer = best_offer(registry_of([("only", 3, 9.0, 50.0)]), WEIGHTS)
@@ -284,7 +294,7 @@ class TestBestOffer:
 
     def test_unregistered_members_skipped(self):
         registry = ParamRegistry("cpu0", ("a", "b"))
-        registry = register_params(registry, "a", 2, 9.0, 30.0, 0.0)
+        registry = register_params(registry, Offer("a", "cpu0", 2, 9.0, 30.0))
         assert best_offer(registry, WEIGHTS).pu_id == "a"
 
     def test_choice_invariant_under_column_scaling(self):
@@ -313,7 +323,7 @@ class TestBestOfferMemo:
         best_offer(registry, list(CHANNEL_HEAVY))
         best_offer(registry, CHANNEL_HEAVY)
         assert len(calls) == 2
-        best_offer(register_params(registry, "a", 3, 5.0, 30.0, 1.0), WEIGHTS)
+        best_offer(register_params(registry, Offer("a", "cpu0", 3, 5.0, 30.0)), WEIGHTS)
         assert len(calls) == 3
 
     def test_alternating_weights_keep_their_own_winners(self):
@@ -347,7 +357,7 @@ class TestBestOfferMemo:
         registry = ParamRegistry("cpu0", MEMO_MEMBERS)
         for t, (pu_id, channels, price, alloc_time) in enumerate(updates):
             previous = registry
-            registry = register_params(registry, pu_id, channels, price, alloc_time, float(t))
+            registry = register_params(registry, Offer(pu_id, "cpu0", channels, price, alloc_time))
             fresh = ParamRegistry("cpu0", MEMO_MEMBERS, dict(registry.entries))
             expected = {w: best_offer(fresh, w) for w in (WEIGHTS, CHANNEL_HEAVY)}
             for w in (WEIGHTS, CHANNEL_HEAVY, WEIGHTS, CHANNEL_HEAVY):

@@ -1,5 +1,7 @@
 """Scenario/matrix file handling and export determinism tests."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 import specnego
 from specnego import (
+    Coordinator,
     MembershipOverride,
     PrimaryUser,
     Scenario,
@@ -294,6 +297,40 @@ class TestReportExports:
             decoded = json.loads(line)
             assert (decoded["from"], decoded["to"]) == (event.sender, event.recipient)
             assert decoded["payload_kind"] == event.payload_kind
+
+    def test_csv_exports_quote_ids(self):
+        # ids holding a comma, a quote, CR or LF: each CSV field must read
+        # back as the id, and every row must keep the header's width
+        pu_ids, su_ids, cpu_id = ('pu,1', 'pu"2'), ('su,"x"', "su\n2", "plain"), "cpu\r0"
+        scenario = Scenario(
+            topology="cpu_only",
+            pus=tuple(PrimaryUser(p, Zone(0, k), 4, 10.0 + k, 60.0) for k, p in enumerate(pu_ids)),
+            sus=tuple(SecondaryUser(s, Zone(1, k), 1, 0.0) for k, s in enumerate(su_ids)),
+            cpu_coordinators=(Coordinator(cpu_id, Zone(0, 0)),),
+        )
+        assert validate(scenario) == []
+        report = run(scenario)
+
+        def rows(text):
+            return list(csv.reader(io.StringIO(text, newline="")))
+
+        metrics = rows(render_metrics_csv(report))
+        assert {len(row) for row in metrics} == {2}
+        responses = {name[len("response_"):] for name, _ in metrics if name.startswith("response_")}
+        assert responses == set(su_ids)
+        allocations = rows(render_allocations_csv(report))
+        assert {len(row) for row in allocations} == {7}
+        assert [row[:3] for row in allocations[1:]] == [
+            [a.su_id, a.offer.pu_id, a.offer.cpu_id] for a in report.allocations
+        ]
+        assert {row[0] for row in allocations[1:]} == set(su_ids)
+        assert {row[2] for row in allocations[1:]} == {cpu_id}
+        text = 'alternative,c\nweights,1\nsenses,benefit\n"a,b",1\n"q""x",2\n"l\nf",3\n'
+        matrix = parse_matrix_csv(text)
+        assert matrix.alternatives == ("a,b", 'q"x', "l\nf")
+        closeness = rows(closeness_csv(matrix, topsis(matrix)))
+        assert {len(row) for row in closeness} == {3}
+        assert [row[0] for row in closeness[1:]] == list(matrix.alternatives)
 
     def test_delivery_time_overflow_raises(self, tmp_path):
         # finite timing values whose sum overflows: 1e308 + 0 + 1e308 is inf

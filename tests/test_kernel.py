@@ -99,9 +99,7 @@ class TestStep:
     def test_delivery_to_unknown_agent_fails(self):
         world = World(reference_scenario((1,)))
         bogus = Message(MessageKind.SU_REQUEST, "ghost1", "ghost2", Demand("ghost1", 1))
-        heapq.heappush(
-            world._queue, (0.0, 999, SimEvent(0.0, 999, DELIVER, message=bogus))
-        )
+        heapq.heappush(world._queue, SimEvent(0.0, 999, DELIVER, message=bogus))
         with pytest.raises(ValueError, match="unknown agent"):
             for _ in range(30):
                 world.step()

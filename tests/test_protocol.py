@@ -23,7 +23,6 @@ from specnego.protocol import (
     HandlerContext,
     PrimaryUserState,
     PuCoalitionState,
-    PuParams,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -44,7 +43,6 @@ def make_ctx(topology="cpu_csu", aggregation=True, cpu_ids=("cpu0",), pu_ids=(),
         aggregation=aggregation,
         pu_ids=tuple(pu_ids),
         cpu_ids=tuple(cpu_ids),
-        csu_ids=("csu0",) if topology == "cpu_csu" else (),
         cpu_membership={},
         csu_membership={},
         cpu_of_pu={},
@@ -65,7 +63,7 @@ class TestMessage:
 
     def test_rejects_payload_kind_mismatch(self):
         with pytest.raises(ValueError, match="payload"):
-            Message(MessageKind.SU_REQUEST, "a", "b", PuParams(1, 2.0, 3.0))
+            Message(MessageKind.SU_REQUEST, "a", "b", make_offer("p"))
         with pytest.raises(ValueError, match="payload"):
             Message(MessageKind.CPU_OFFER, "a", "b", CoordinatorReply(None))
 
@@ -76,8 +74,8 @@ class TestMessage:
 
     # kind -> (an accepted payload, a rejected payload)
     PAYLOADS = {
-        MessageKind.PARAM_UPDATE: (PuParams(1, 2.0, 3.0), Demand("s", 1)),
-        MessageKind.SU_REQUEST: (Demand("s", 1), PuParams(1, 2.0, 3.0)),
+        MessageKind.PARAM_UPDATE: (make_offer("p"), Demand("s", 1)),
+        MessageKind.SU_REQUEST: (Demand("s", 1), make_offer("p")),
         MessageKind.CFP: ((Demand("s", 1), Demand("t", 2)), (Demand("s", 1), "t")),
         MessageKind.CFP_SINGLE: (Demand("s", 1), (Demand("s", 1),)),
         MessageKind.CPU_OFFER: (CoordinatorReply(make_offer("p"), "s"), CoordinatorReply(None)),
@@ -223,15 +221,22 @@ class TestSuHandlers:
 class TestCpuHandlers:
     def test_param_update_fills_registry(self):
         state = PuCoalitionState("cpu0", ParamRegistry("cpu0", ("pu0",)))
-        message = Message(MessageKind.PARAM_UPDATE, "pu0", "cpu0", PuParams(4, 10.0, 60.0))
+        message = Message(MessageKind.PARAM_UPDATE, "pu0", "cpu0", make_offer("pu0"))
         result = handle(state, message, 0.0, make_ctx())
         assert result.state.registry.entries["pu0"].channels == 4
         assert result.sends == []
 
+    def test_param_update_for_another_pu_is_a_violation(self):
+        state = PuCoalitionState("cpu0", ParamRegistry("cpu0", ("pu0", "pu1")))
+        message = Message(MessageKind.PARAM_UPDATE, "pu1", "cpu0", make_offer("pu0"))
+        result = handle(state, message, 0.0, make_ctx())
+        assert result.state is state and result.sends == []
+        assert result.violation == "t=0: ParamUpdate from 'pu1' for another PU at 'cpu0'"
+
     def test_cfp_yields_exactly_one_offer_after_select_delay(self):
         registry = ParamRegistry("cpu0", ("a", "b", "c"))
         for pu_id, price in (("a", 10.0), ("b", 8.0), ("c", 12.0)):
-            registry = register_params(registry, pu_id, 4, price, 60.0, 0.0)
+            registry = register_params(registry, Offer(pu_id, "cpu0", 4, price, 60.0))
         state = PuCoalitionState("cpu0", registry)
         message = Message(MessageKind.CFP, "csu0", "cpu0", (Demand("su0", 2),))
         result = handle(state, message, 25.0, make_ctx())
@@ -241,7 +246,7 @@ class TestCpuHandlers:
         assert reply.payload.demand_ref is None
 
     def test_cfp_single_reply_carries_demand_ref(self):
-        registry = register_params(ParamRegistry("cpu0", ("a",)), "a", 4, 9.0, 60.0, 0.0)
+        registry = register_params(ParamRegistry("cpu0", ("a",)), Offer("a", "cpu0", 4, 9.0, 60.0))
         state = PuCoalitionState("cpu0", registry)
         message = Message(MessageKind.CFP_SINGLE, "su7", "cpu0", Demand("su7", 2))
         [(reply, _)] = handle(state, message, 10.0, make_ctx()).sends
@@ -260,7 +265,7 @@ class TestPuHandlers:
         return handle(state, message, 5.0, make_ctx(capacities={"p0": capacity}))
 
     def test_offer_reused_while_capacity_unchanged(self):
-        first = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4)
+        first = self.cfp(PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0)), 4)
         [(reply, delay)] = first.sends
         assert delay == 2.0
         assert reply.payload.offer == Offer("p0", "p0", 4, 9.0, 30.0)
@@ -270,22 +275,23 @@ class TestPuHandlers:
         assert second.sends[0][0].payload.offer is reply.payload.offer
 
     def test_offer_rebuilt_when_capacity_changes(self):
-        first = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4)
+        first = self.cfp(PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0)), 4)
         second = self.cfp(first.state, 3)
         assert second.sends[0][0].payload.offer == Offer("p0", "p0", 3, 9.0, 30.0)
         assert second.state.offer.channels == 3
         assert first.state.offer.channels == 4  # the earlier state is untouched
 
     def test_no_offer_without_capacity(self):
-        state = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4).state
+        state = self.cfp(PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0)), 4).state
         result = self.cfp(state, 0)
         assert result.sends[0][0].kind is MessageKind.CPU_NO_OFFER
         assert result.state is state
 
-    def test_cached_offer_ignored_by_equality(self):
-        state = self.cfp(PrimaryUserState("p0", 9.0, 30.0), 4).state
-        assert state == PrimaryUserState("p0", 9.0, 30.0)
-        assert "offer" not in repr(state)
+    def test_state_is_the_offer_at_last_quoted_capacity(self):
+        state = PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0))
+        assert self.cfp(state, 4).state is state
+        rebuilt = self.cfp(state, 2).state
+        assert rebuilt == PrimaryUserState("p0", Offer("p0", "p0", 2, 9.0, 30.0))
 
 
 class TestCsuHandlers:
