@@ -7,12 +7,11 @@ files. Axis labels come from the table's column names.
 
 from __future__ import annotations
 
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .experiments import MetricsTable
 
-__all__ = ["render_chart", "emit_plot"]
+__all__ = ["render_chart"]
 
 PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#9d755d")
 
@@ -171,17 +170,3 @@ def render_chart(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def emit_plot(
-    table: MetricsTable,
-    kind: str,
-    path: str | Path,
-    x: str,
-    y: str,
-    series: str | None = None,
-) -> Path:
-    """Render and write a chart; returns the written path."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(render_chart(table, kind, x, y, series=series).encode("utf-8"))
-    return out

@@ -20,12 +20,12 @@ import os
 import sys
 from pathlib import Path
 
-from .charts import emit_plot
+from .charts import render_chart
 from .experiments import EXPERIMENT_IDS, STUDIES, experiment_spec, run_experiment
 from .kernel import SimulationCapExceeded, run
 from .matrix_io import closeness_csv, parse_matrix_csv
 from .model import validate
-from .reports import export_report, export_table
+from .reports import export_report, render_table_csv, write_files
 from .scenario_io import ScenarioParseError, parse_scenario
 from .topsis import topsis
 
@@ -117,12 +117,12 @@ def _cmd_experiment(args) -> int:
         print(f"--su-sweep: {exc}", file=sys.stderr)
         return EXIT_PARSE
     table = run_experiment(spec, event_cap=_event_cap())
-    csv_path = export_table(table, args.out)
-    print(f"wrote {csv_path}")
+    files = {f"{args.id}_metrics.csv": render_table_csv(table)}
     if not args.no_plots:
         kind, x, y, series = STUDIES[args.id].chart
-        svg_path = emit_plot(table, kind, Path(args.out) / f"{args.id}.svg", x, y, series)
-        print(f"wrote {svg_path}")
+        files[f"{args.id}.svg"] = render_chart(table, kind, x, y, series=series)
+    for path in write_files(args.out, files):
+        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -123,10 +123,14 @@ class World:
             capacities=MappingProxyType(self.capacities),
         )
 
-        self.states: dict[str, object] = {}
+        # One Offer per PU, shared by its state and its t=0 ParamUpdate.
+        offers: dict[str, Offer] = {}
         for pu in scenario.pus:
-            offer = Offer(pu.id, pu.id, pu.channels, pu.price, pu.alloc_time)
-            self.states[pu.id] = PrimaryUserState(pu.id, offer)
+            cpu_id = self.plan.cpu_of_pu.get(pu.id, pu.id)
+            offers[pu.id] = Offer(pu.id, cpu_id, pu.channels, pu.price, pu.alloc_time)
+        self.states: dict[str, object] = {
+            pu_id: PrimaryUserState(pu_id, offer) for pu_id, offer in offers.items()
+        }
         for cpu_id, members in self.plan.cpu_membership.items():
             registry = ParamRegistry(coordinator_id=cpu_id, members=tuple(members))
             self.states[cpu_id] = PuCoalitionState(cpu_id, registry)
@@ -149,10 +153,8 @@ class World:
         # Seed the run: PU parameter registrations delivered at t=0 in the
         # coalition topologies, and one wake per SU at its arrival time.
         if self.plan.topology in ("cpu_only", "cpu_csu"):
-            for pu in scenario.pus:
-                cpu_id = self.plan.cpu_of_pu[pu.id]
-                offer = Offer(pu.id, cpu_id, pu.channels, pu.price, pu.alloc_time)
-                message = Message(MessageKind.PARAM_UPDATE, pu.id, cpu_id, offer)
+            for pu_id, offer in offers.items():
+                message = Message(MessageKind.PARAM_UPDATE, pu_id, offer.cpu_id, offer)
                 self._schedule(0.0, DELIVER, message=message)
                 self.sent += 1
         for su in scenario.sus:

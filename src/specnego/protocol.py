@@ -11,6 +11,12 @@ Four agent kinds exchange seven message kinds across three wiring modes:
   proposals per PU-coalition), rank the returned offers, assign them to
   demands, and reply to their members.
 
+Every SU-side TOPSIS decision ends an *ask*: a call for proposals to a fixed
+set of agents (an SU's own to every PU or PU-coalition, an SU-coalition's per
+demand or per aggregated batch). The last reply *settles* it: the real offers
+are ranked and granted to the ask's demands in order, at ``rank_per_offer``
+per offer ranked.
+
 Handlers are pure: given the same (state, message, time, context) they
 return the same new state and outgoing messages. All world mutation (live
 PU capacities, metric counters) is applied by the kernel from the returned
@@ -149,9 +155,7 @@ class SecondaryUserState:
     channels_requested: int
     arrival_time: float
     phase: SuPhase = SuPhase.IDLE
-    expected_replies: int = 0
-    replies_seen: int = 0
-    offers: tuple[Offer, ...] = ()
+    offers: tuple[Offer | None, ...] = ()  # one per reply so far; None for no offer
     completed_at: float | None = None
 
 
@@ -167,8 +171,12 @@ class SuCoalitionState:
     member_ids: tuple[str, ...]
     phase: CsuPhase = CsuPhase.COLLECTING
     demands: tuple[tuple[float, Demand], ...] = ()
-    # coordinator replies keyed by demand_ref; None keys the aggregated batch
-    replies: dict[str | None, tuple[CoordinatorReply, ...]] = field(default_factory=dict)
+    # Open asks keyed by demand_ref (None for the aggregated batch): the
+    # demands the ask settles and the offers replied so far. A settled ask
+    # is dropped, so a late or unknown reply finds no entry.
+    asks: dict[str | None, tuple[tuple[Demand, ...], tuple[Offer | None, ...]]] = field(
+        default_factory=dict
+    )
     replied: int = 0  # members answered so far
 
 
@@ -284,6 +292,30 @@ def _violation(state: AgentState, agent_id: str, detail: str, now: float) -> Han
     return HandlerResult(state=state, violation=f"t={now:g}: {detail} at {agent_id!r}")
 
 
+def _settle(
+    offers: Sequence[Offer | None], demands: Sequence[Demand], ctx: HandlerContext
+) -> tuple[list[Allocation], float]:
+    """Rank an ask's real offers and grant them to its demands; returns (allocations, delay)."""
+    real = [o for o in offers if o is not None]
+    allocations, _unserved = assign_offers(
+        rank_offers(real, ctx.weights),
+        [(d.su_id, d.channels_requested) for d in demands],
+        ctx.capacities,
+    )
+    return allocations, ctx.timing.rank_per_offer * len(real)
+
+
+def _quote(me: str, to: str, offer: Offer | None, ref: str | None) -> Message:
+    """A reply to a call for proposals: the offer, or no offer when it is None."""
+    kind = MessageKind.CPU_NO_OFFER if offer is None else MessageKind.CPU_OFFER
+    return Message(kind, me, to, CoordinatorReply(offer, ref))
+
+
+def _direct_targets(plan: TopologyPlan) -> tuple[str, ...]:
+    """The agents an SU asks itself: every PU-coalition under cpu_only, else every PU."""
+    return plan.cpu_ids if plan.topology == "cpu_only" else plan.pu_ids
+
+
 def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerResult:
     """An SU wakes at its arrival time and issues its request(s)."""
     if not isinstance(state, SecondaryUserState):
@@ -296,23 +328,16 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
     if ctx.plan.topology == "cpu_csu":
         target = ctx.plan.csu_of_su[me]
         sends = [(Message(MessageKind.SU_REQUEST, me, target, demand), 0.0)]
-        expected = 1
-    elif ctx.plan.topology == "cpu_only":
+    else:
         sends = [
-            (Message(MessageKind.CFP_SINGLE, me, cpu, demand), 0.0) for cpu in ctx.plan.cpu_ids
+            (Message(MessageKind.CFP_SINGLE, me, to, demand), 0.0)
+            for to in _direct_targets(ctx.plan)
         ]
-        expected = len(ctx.plan.cpu_ids)
-    else:  # no_coalition
-        sends = [
-            (Message(MessageKind.CFP_SINGLE, me, pu, demand), 0.0) for pu in ctx.plan.pu_ids
-        ]
-        expected = len(ctx.plan.pu_ids)
     if not sends:
         # nobody to query (e.g. no PUs exist): the request dies immediately
         new_state = replace(state, phase=SuPhase.UNSERVED, completed_at=now)
         return HandlerResult(state=new_state)
-    new_state = replace(state, phase=SuPhase.WAITING, expected_replies=expected)
-    return HandlerResult(state=new_state, sends=sends)
+    return HandlerResult(state=replace(state, phase=SuPhase.WAITING), sends=sends)
 
 
 def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
@@ -335,18 +360,13 @@ def _handle_pu(
         return _violation(state, state.agent_id, f"unexpected {msg.kind.value}", now)
     me = state.agent_id
     capacity = ctx.capacities.get(me, 0)
+    offer = None
     if capacity > 0:
         offer = state.offer
         if offer.channels != capacity:
             offer = Offer(me, offer.cpu_id, capacity, offer.price, offer.alloc_time)
             state = PrimaryUserState(me, offer)
-        reply = Message(
-            MessageKind.CPU_OFFER, me, msg.sender, CoordinatorReply(offer, msg.payload.su_id)
-        )
-    else:
-        reply = Message(
-            MessageKind.CPU_NO_OFFER, me, msg.sender, CoordinatorReply(None, msg.payload.su_id)
-        )
+    reply = _quote(me, msg.sender, offer, msg.payload.su_id)
     return HandlerResult(state=state, sends=[(reply, ctx.timing.pu_reply)])
 
 
@@ -361,17 +381,9 @@ def _handle_cpu(
         return HandlerResult(state=replace(state, registry=registry))
     if msg.kind in (MessageKind.CFP, MessageKind.CFP_SINGLE):
         ref = msg.payload.su_id if msg.kind is MessageKind.CFP_SINGLE else None
-        offer = best_offer(state.registry, ctx.weights)
-        if offer is not None:
-            reply = Message(MessageKind.CPU_OFFER, me, msg.sender, CoordinatorReply(offer, ref))
-        else:
-            reply = Message(MessageKind.CPU_NO_OFFER, me, msg.sender, CoordinatorReply(None, ref))
+        reply = _quote(me, msg.sender, best_offer(state.registry, ctx.weights), ref)
         return HandlerResult(state=state, sends=[(reply, ctx.timing.cpu_select)])
     return _violation(state, me, f"unexpected {msg.kind.value}", now)
-
-
-def _sorted_demands(demands: Sequence[tuple[float, Demand]]) -> list[Demand]:
-    return [d for _, d in sorted(demands, key=lambda td: (td[0], td[1].su_id))]
 
 
 def _handle_csu(
@@ -384,55 +396,49 @@ def _handle_csu(
     if msg.kind is MessageKind.SU_REQUEST:
         if state.phase is not CsuPhase.COLLECTING:
             return _violation(state, me, f"SuRequest in phase {state.phase.value}", now)
-        demands = state.demands + ((now, msg.payload),)
+        demand: Demand = msg.payload
+        demands = state.demands + ((now, demand),)
         complete = len(demands) >= len(state.member_ids)
         if not ctx.plan.aggregation:
-            # Forward the single demand to every PU-coalition.
-            kind, payload, delay = MessageKind.CFP_SINGLE, msg.payload, ctx.timing.agg_per_demand
+            # Ask every PU-coalition about this one demand.
+            kind, payload, delay = MessageKind.CFP_SINGLE, demand, ctx.timing.agg_per_demand
+            asks = {**state.asks, demand.su_id: ((demand,), ())}
         elif complete:
-            # Last expected demand: aggregate the batch into one CFP per
-            # PU-coalition, paying the per-demand aggregation cost.
-            kind, payload = MessageKind.CFP, tuple(_sorted_demands(demands))
+            # Last expected demand: ask every PU-coalition about the whole
+            # batch in one CFP, paying the per-demand aggregation cost.
+            by_arrival = sorted(demands, key=lambda td: (td[0], td[1].su_id))
+            kind, payload = MessageKind.CFP, tuple(d for _, d in by_arrival)
             delay = ctx.timing.agg_per_demand * len(state.member_ids)
+            asks = {None: (payload, ())}
         else:
             return HandlerResult(state=replace(state, demands=demands))
         sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
         phase = CsuPhase.AWAITING_OFFERS if complete else CsuPhase.COLLECTING
-        return HandlerResult(state=replace(state, demands=demands, phase=phase), sends=sends)
+        new_state = replace(state, demands=demands, asks=asks, phase=phase)
+        return HandlerResult(state=new_state, sends=sends)
 
     if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
         return _violation(state, me, f"unexpected {msg.kind.value}", now)
     reply: CoordinatorReply = msg.payload
-    if ctx.plan.aggregation:
-        if state.phase is not CsuPhase.AWAITING_OFFERS:
-            return _violation(state, me, f"coordinator reply in phase {state.phase.value}", now)
-        key = None
-    elif (key := reply.demand_ref) is None:
-        return _violation(state, me, "batch reply in non-aggregated mode", now)
-    replies = {**state.replies, key: state.replies.get(key, ()) + (reply,)}
-    if len(replies[key]) < len(ctx.plan.cpu_ids):
-        return HandlerResult(state=replace(state, replies=replies))
-    # Every coordinator has answered this batch (or this one demand): rank
-    # the real offers, settle its demands against live capacities, and
-    # answer each member concerned.
-    real = [r.offer for r in replies[key] if r.offer is not None]
-    ranked = rank_offers(real, ctx.weights)
-    if key is None:
-        demands = _sorted_demands(state.demands)
-    else:
-        demands = [next(d for _, d in state.demands if d.su_id == key)]
-    allocations, _unserved = assign_offers(
-        ranked, [(d.su_id, d.channels_requested) for d in demands], ctx.capacities
-    )
+    key = None if ctx.plan.aggregation else reply.demand_ref
+    if key not in state.asks:
+        return _violation(state, me, f"{msg.kind.value} for ask {key!r}, which is not open", now)
+    demands, offers = state.asks[key]
+    offers += (reply.offer,)
+    if len(offers) < len(ctx.plan.cpu_ids):
+        return HandlerResult(state=replace(state, asks={**state.asks, key: (demands, offers)}))
+    # Every coordinator has answered: settle the ask and answer each member
+    # it concerns.
+    allocations, delay = _settle(offers, demands, ctx)
     granted = {a.su_id: a.offer for a in allocations}
-    delay = ctx.timing.rank_per_offer * len(real)
     sends = [
         (Message(MessageKind.SU_REPLY, me, d.su_id, granted.get(d.su_id)), delay)
         for d in demands
     ]
+    asks = {k: ask for k, ask in state.asks.items() if k != key}
     replied = state.replied + len(demands)
     phase = CsuPhase.DONE if replied >= len(state.member_ids) else state.phase
-    new_state = replace(state, replies=replies, replied=replied, phase=phase)
+    new_state = replace(state, asks=asks, replied=replied, phase=phase)
     return HandlerResult(state=new_state, sends=sends, allocations=allocations)
 
 
@@ -456,11 +462,12 @@ def _handle_su(
         )
         return HandlerResult(state=new_state)
 
-    if msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
-        reply: CoordinatorReply = msg.payload
-        offers = state.offers + ((reply.offer,) if reply.offer is not None else ())
-        seen = state.replies_seen + 1
-        if seen < state.expected_replies:
+    if (
+        msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER)
+        and ctx.plan.topology != "cpu_csu"  # there the SU-coalition asks
+    ):
+        offers = state.offers + (msg.payload.offer,)
+        if len(offers) < len(_direct_targets(ctx.plan)):
             # The constructor, not dataclasses.replace (twice its cost): this
             # runs once per reply.
             return HandlerResult(state=SecondaryUserState(
@@ -468,23 +475,16 @@ def _handle_su(
                 channels_requested=state.channels_requested,
                 arrival_time=state.arrival_time,
                 phase=state.phase,
-                expected_replies=state.expected_replies,
-                replies_seen=seen,
                 offers=offers,
                 completed_at=state.completed_at,
             ))
-        # Final reply: rank locally and take the best feasible offer.
-        ranked = rank_offers(offers, ctx.weights)
-        allocations, _unserved = assign_offers(
-            ranked, [(me, state.channels_requested)], ctx.capacities
-        )
-        completed = now + ctx.timing.rank_per_offer * len(offers)
+        # Final reply: settle the SU's own ask.
+        allocations, delay = _settle(offers, [Demand(me, state.channels_requested)], ctx)
         new_state = replace(
             state,
             offers=offers,
-            replies_seen=seen,
             phase=SuPhase.SERVED if allocations else SuPhase.UNSERVED,
-            completed_at=completed,
+            completed_at=now + delay,
         )
         return HandlerResult(state=new_state, allocations=allocations)
 

@@ -20,9 +20,9 @@ __all__ = [
     "render_metrics_csv",
     "render_events_jsonl",
     "render_allocations_csv",
-    "export_report",
     "render_table_csv",
-    "export_table",
+    "write_files",
+    "export_report",
 ]
 
 
@@ -80,16 +80,23 @@ def render_allocations_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """Write metrics.csv, events.jsonl, and allocations.csv into ``out_dir``."""
+def render_table_csv(table: MetricsTable) -> str:
+    lines = [f"# {note}" for note in table.notes]
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(_value(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+    """Write each ``{name: text}`` into ``out_dir`` as UTF-8; returns the paths in order.
+
+    A failed write raises ``OSError("cannot write <path>: ...")``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, text in (
-        ("metrics.csv", render_metrics_csv(report)),
-        ("events.jsonl", render_events_jsonl(report)),
-        ("allocations.csv", render_allocations_csv(report)),
-    ):
+    for name, text in files.items():
         path = out / name
         try:
             path.write_bytes(text.encode("utf-8"))
@@ -99,18 +106,10 @@ def export_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def render_table_csv(table: MetricsTable) -> str:
-    lines = [f"# {note}" for note in table.notes]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_value(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def export_table(table: MetricsTable, out_dir: str | Path) -> Path:
-    """Write ``<experiment_id>_metrics.csv`` into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{table.experiment_id}_metrics.csv"
-    path.write_bytes(render_table_csv(table).encode("utf-8"))
-    return path
+def export_report(report: RunReport, out_dir: str | Path) -> list[Path]:
+    """Write metrics.csv, events.jsonl, and allocations.csv into ``out_dir``."""
+    return write_files(out_dir, {
+        "metrics.csv": render_metrics_csv(report),
+        "events.jsonl": render_events_jsonl(report),
+        "allocations.csv": render_allocations_csv(report),
+    })

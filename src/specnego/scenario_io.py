@@ -52,10 +52,7 @@ class ScenarioParseError(ValueError):
     """A scenario document failed schema checks; the message carries the path."""
 
 
-_TOP_KEYS = {
-    "seed", "topology", "aggregation", "weights", "timing",
-    "pus", "sus", "cpu_coordinators", "csu_coordinators", "memberships",
-}
+_TOP_KEYS = {f.name for f in fields(Scenario)}
 _TIMING_KEYS = tuple(f.name for f in fields(TimingConstants))  # declaration order
 
 

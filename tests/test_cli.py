@@ -108,6 +108,13 @@ class TestExperimentCommand:
         assert main(["experiment", "exp_i", "--out", str(out), "--no-plots"]) == EXIT_OK
         assert not (out / "exp_i.svg").exists()
 
+    def test_unwritable_table_exits_runtime(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "exp_i_metrics.csv").mkdir(parents=True)
+        assert main(["experiment", "exp_i", "--out", str(out)]) == EXIT_RUNTIME
+        assert f"cannot write {out / 'exp_i_metrics.csv'}: " in capsys.readouterr().err
+        assert not (out / "exp_i.svg").exists()
+
     def test_sweep_override(self, tmp_path):
         out = tmp_path / "out"
         code = main(["experiment", "exp_iv", "--out", str(out), "--su-sweep", "5,10"])

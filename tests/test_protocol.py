@@ -171,7 +171,7 @@ class TestSuHandlers:
         result = handle_wake(state, 0.0, ctx)
         assert [m.recipient for m, _ in result.sends] == ["p0", "p1", "p2"]
         assert all(m.kind is MessageKind.CFP_SINGLE for m, _ in result.sends)
-        assert result.state.expected_replies == 3
+        assert result.state.phase is SuPhase.WAITING and result.state.offers == ()
 
     def test_reply_in_terminal_phase_is_violation(self):
         state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.SERVED)
@@ -190,9 +190,7 @@ class TestSuHandlers:
     def test_local_ranking_after_last_reply(self):
         # no-coalition SU collects two offers, ranks them after the second,
         # and completes rank_per_offer * offers later
-        state = SecondaryUserState(
-            "su0", 2, 0.0, phase=SuPhase.WAITING, expected_replies=2
-        )
+        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a", "b"),
                        capacities={"a": 4, "b": 4})
         first = Message(MessageKind.CPU_OFFER, "a", "su0",
@@ -207,15 +205,33 @@ class TestSuHandlers:
         assert len(result.allocations) == 1
 
     def test_unserved_when_no_feasible_offer(self):
-        state = SecondaryUserState(
-            "su0", 9, 0.0, phase=SuPhase.WAITING, expected_replies=1
-        )
+        state = SecondaryUserState("su0", 9, 0.0, phase=SuPhase.WAITING)
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a",),
                        capacities={"a": 4})
         message = Message(MessageKind.CPU_OFFER, "a", "su0",
                           CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, message, 20.0, ctx)
         assert result.state.phase is SuPhase.UNSERVED and result.allocations == []
+
+    def test_no_offer_counts_as_a_reply_but_is_not_ranked(self):
+        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
+        ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0", "cpu1"), capacities={"a": 4})
+        none = Message(MessageKind.CPU_NO_OFFER, "cpu0", "su0", CoordinatorReply(None, "su0"))
+        result = handle(state, none, 20.0, ctx)
+        assert result.state.phase is SuPhase.WAITING
+        offer = Message(MessageKind.CPU_OFFER, "cpu1", "su0",
+                        CoordinatorReply(make_offer("a", cpu_id="cpu1"), "su0"))
+        result = handle(result.state, offer, 21.0, ctx)
+        assert result.state.phase is SuPhase.SERVED
+        assert result.state.completed_at == 21.0 + 1.0 * 1  # one offer ranked
+
+    def test_coordinator_reply_under_cpu_csu_is_violation(self):
+        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
+        message = Message(MessageKind.CPU_OFFER, "cpu0", "su0",
+                          CoordinatorReply(make_offer("p0"), "su0"))
+        result = handle(state, message, 20.0, make_ctx(capacities={"p0": 4}))
+        assert result.violation == "t=20: unexpected CpuOffer at 'su0'"
+        assert result.state is state and result.allocations == []
 
 
 class TestCpuHandlers:
@@ -327,6 +343,7 @@ class TestCsuHandlers:
             tuple(f"su{i}" for i in range(3)),
             phase=CsuPhase.AWAITING_OFFERS,
             demands=demands,
+            asks={None: (tuple(d for _, d in demands), ())},
         )
         for k in range(4):
             message = Message(
@@ -386,7 +403,7 @@ class TestCsuHandlers:
         batch = Message(MessageKind.CPU_OFFER, "cpu0", "csu0",
                         CoordinatorReply(make_offer("p0", cpu_id="cpu0")))
         rejected = handle(state, batch, 120.0, ctx)
-        assert "batch reply in non-aggregated mode" in rejected.violation
+        assert "CpuOffer for ask None, which is not open" in rejected.violation
         # replies for the two demands interleave; each demand closes on its second
         answered = []
         for su_id, cpu, pu in (("su1", "cpu0", "p0"), ("su0", "cpu0", "p0"),
@@ -398,9 +415,62 @@ class TestCsuHandlers:
             answered += [(m.recipient, m.payload is not None) for m, _ in result.sends]
         assert answered == [("su1", True), ("su0", True)]
         assert state.phase is CsuPhase.DONE and state.replied == 2
-        assert {key: len(r) for key, r in state.replies.items()} == {"su1": 2, "su0": 2}
+        assert state.asks == {}
         late = handle(state, reply, 140.0, ctx)
         assert "terminal phase Done" in late.violation
+
+    def per_demand_coalition(self):
+        """A non-aggregated coalition of su0 and su1 with both demands forwarded."""
+        ctx = make_ctx(aggregation=False, cpu_ids=("cpu0", "cpu1"), capacities={"p0": 8})
+        state = SuCoalitionState("csu0", ("su0", "su1"))
+        for su_id, t in (("su0", 10.0), ("su1", 110.0)):
+            message = Message(MessageKind.SU_REQUEST, su_id, "csu0", Demand(su_id, 2))
+            state = handle(state, message, t, ctx).state
+        return state, ctx
+
+    @staticmethod
+    def offer_for(ref, cpu="cpu0"):
+        return Message(MessageKind.CPU_OFFER, cpu, "csu0",
+                       CoordinatorReply(make_offer("p0", cpu_id=cpu), ref))
+
+    def test_reply_for_unknown_demand_is_violation(self):
+        state, ctx = self.per_demand_coalition()
+        result = handle(state, self.offer_for("su9"), 120.0, ctx)
+        assert result.violation == "t=120: CpuOffer for ask 'su9', which is not open at 'csu0'"
+        assert result.state is state and result.sends == [] and result.allocations == []
+
+    def test_duplicate_reply_for_settled_demand_is_violation(self):
+        state, ctx = self.per_demand_coalition()
+        for cpu in ("cpu0", "cpu1"):
+            result = handle(state, self.offer_for("su0", cpu), 120.0, ctx)
+            state = result.state
+        assert len(result.allocations) == 1 and state.replied == 1
+        late = handle(state, self.offer_for("su0", "cpu1"), 121.0, ctx)
+        assert late.violation == "t=121: CpuOffer for ask 'su0', which is not open at 'csu0'"
+        assert late.allocations == [] and late.sends == []
+        assert late.state is state and late.state.replied == 1
+        assert late.state.phase is CsuPhase.AWAITING_OFFERS
+
+    def test_batch_reply_before_the_batch_is_violation(self):
+        ctx = make_ctx(capacities={"p0": 8})
+        state = SuCoalitionState("csu0", ("su0", "su1"))
+        message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
+        state = handle(state, message, 10.0, ctx).state
+        result = handle(state, self.offer_for(None), 20.0, ctx)
+        assert result.violation == "t=20: CpuOffer for ask None, which is not open at 'csu0'"
+        assert result.state is state and result.sends == [] and result.allocations == []
+
+    @pytest.mark.parametrize("aggregation", [True, False])
+    def test_settled_ask_is_dropped(self, aggregation):
+        ctx = make_ctx(aggregation=aggregation, capacities={"p0": 8})
+        state = SuCoalitionState("csu0", ("su0",))
+        message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
+        state = handle(state, message, 10.0, ctx).state
+        ref = None if aggregation else "su0"
+        assert set(state.asks) == {ref}
+        result = handle(state, self.offer_for(ref), 20.0, ctx)
+        assert len(result.allocations) == 1
+        assert result.state.asks == {} and result.state.phase is CsuPhase.DONE
 
     def test_handler_is_pure(self):
         state = SuCoalitionState("csu0", ("su0",))
