@@ -7,17 +7,21 @@ same time dispatch in insertion order (strictly increasing ``seq``), which
 makes every run bit-reproducible: no wall clock, no RNG, no unordered
 iteration anywhere in dispatch.
 
-Event records (:class:`SimEvent`, :class:`LoggedEvent`) are NamedTuples so that
-they stay cheap: a run builds one or two of them per event.
+Each queued event is a :class:`SimEvent` NamedTuple, dropped once dispatched.
+The run's record of dispatched events is an :class:`EventLog`: five typed
+columns (time, seq, sender, recipient, payload code) with agent ids interned
+in a first-seen table, about 25 bytes per event, so a run near the 10M-event
+cap keeps its log in about 250 MB. Rows read back as :class:`LoggedEvent`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .coalitions import ParamRegistry
 from .model import Offer, Scenario, validate
@@ -40,6 +44,7 @@ __all__ = [
     "DEFAULT_EVENT_CAP",
     "SimEvent",
     "LoggedEvent",
+    "EventLog",
     "RunReport",
     "SimulationCapExceeded",
     "World",
@@ -50,11 +55,6 @@ DEFAULT_EVENT_CAP = 10_000_000
 
 DELIVER = "Deliver"
 AGENT_WAKE = "AgentWake"
-
-
-# Wire name of each message kind. Read on every delivery, where ``kind.value``
-# would be an enum descriptor call.
-_WIRE_NAMES: dict[MessageKind, str] = {kind: kind.value for kind in MessageKind}
 _TERMINAL = (SuPhase.SERVED, SuPhase.UNSERVED)
 
 
@@ -79,11 +79,111 @@ class LoggedEvent(NamedTuple):
     payload_kind: str | None
 
 
+# An event's payload code: 0 for a wake, 1 + the MessageKind's position for a
+# delivery. The code alone gives the event's (kind, payload_kind).
+_CODES: dict[MessageKind | None, int] = {None: 0}
+_CODES.update((kind, code) for code, kind in enumerate(MessageKind, 1))
+_KINDS = ((AGENT_WAKE, None),) + tuple((DELIVER, kind.value) for kind in MessageKind)
+
+
+class _Interner(dict):
+    """Agent id -> index in first-seen order; an unseen id gets the next index.
+
+    ``names`` lists the ids by index.
+    """
+
+    __slots__ = ("names",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: list[str] = []
+
+    def __missing__(self, agent_id: str) -> int:
+        index = self[agent_id] = len(self.names)
+        self.names.append(agent_id)
+        return index
+
+
+class EventLog:
+    """The dispatched events of a run, one typed column per field.
+
+    Reads back as a sequence of :class:`LoggedEvent`: ``len``, iteration,
+    integer indexing and ``==``. Two logs are equal when their rows are.
+    """
+
+    __slots__ = ("_times", "_seqs", "_senders", "_recipients", "_codes", "_ids")
+
+    def __init__(self) -> None:
+        self._times = array("d")
+        self._seqs = array("q")
+        self._senders = array("i")
+        self._recipients = array("i")
+        self._codes = array("B")
+        self._ids = _Interner()
+
+    def append(
+        self, time: float, seq: int, sender: str, recipient: str, payload: MessageKind | None
+    ) -> None:
+        """Log one event: a delivery of a ``payload`` message, or a wake when it is None."""
+        ids = self._ids
+        self._times.append(time)
+        self._seqs.append(seq)
+        self._senders.append(ids[sender])
+        self._recipients.append(ids[recipient])
+        self._codes.append(_CODES[payload])
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i: int) -> LoggedEvent:
+        ids = self._ids.names
+        kind, payload_kind = _KINDS[self._codes[i]]
+        return LoggedEvent(
+            self._times[i], self._seqs[i], kind,
+            ids[self._senders[i]], ids[self._recipients[i]], payload_kind,
+        )
+
+    def __iter__(self) -> Iterator[LoggedEvent]:
+        return map(LoggedEvent._make, self.rows(lambda value: value))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        # The id table follows from the rows (ids are numbered in order of
+        # first appearance), so equal rows mean equal columns.
+        return all(
+            getattr(self, column) == getattr(other, column) for column in self.__slots__
+        )
+
+    def count(self, payload: MessageKind | None) -> int:
+        """The number of deliveries of ``payload`` messages, or of wakes when it is None."""
+        # bytes.count scans at C speed; array.count boxes every item
+        return self._codes.tobytes().count(_CODES[payload])
+
+    def rows(self, encode: Callable[[str | None], object]) -> Iterator[tuple]:
+        """Every row as ``(time, seq, kind, sender, recipient, payload_kind)``, lazily.
+
+        Each string field is ``encode`` of its value, called once per distinct
+        value per call rather than once per row.
+        """
+        ids = [encode(agent_id) for agent_id in self._ids.names]
+        kinds = [encode(kind) for kind, _ in _KINDS]
+        payloads = [encode(payload_kind) for _, payload_kind in _KINDS]
+        return zip(
+            self._times,
+            self._seqs,
+            map(kinds.__getitem__, self._codes),
+            map(ids.__getitem__, self._senders),
+            map(ids.__getitem__, self._recipients),
+            map(payloads.__getitem__, self._codes),
+        )
+
+
 @dataclass
 class RunReport:
     """Everything measured during one run."""
 
-    event_log: list[LoggedEvent]
+    event_log: EventLog
     msg_counts: dict[str, int]
     total_messages: int
     per_su_response: dict[str, float | None]
@@ -141,10 +241,8 @@ class World:
                 su.id, su.channels_requested, su.arrival_time
             )
 
-        self.event_log: list[LoggedEvent] = []
-        self.msg_counts: dict[str, int] = {kind.value: 0 for kind in MessageKind}
+        self.event_log = EventLog()
         self.sent = 0
-        self.delivered = 0
         self.allocations: list[Allocation] = []
         self.violations: list[str] = []
         self.per_su_response: dict[str, float | None] = {}
@@ -182,18 +280,13 @@ class World:
 
         if kind == DELIVER:
             agent_id = message.recipient
-            wire_name = _WIRE_NAMES[message.kind]
-            self.event_log.append(
-                LoggedEvent(time, seq, DELIVER, message.sender, agent_id, wire_name)
-            )
-            self.msg_counts[wire_name] += 1
-            self.delivered += 1
+            self.event_log.append(time, seq, message.sender, agent_id, message.kind)
             state = self.states.get(agent_id)
             if state is None:
                 raise ValueError(f"delivery to unknown agent {agent_id!r}")
             result = handle(state, message, time, self.ctx)
         else:
-            self.event_log.append(LoggedEvent(time, seq, AGENT_WAKE, agent_id, agent_id, None))
+            self.event_log.append(time, seq, agent_id, agent_id, None)
             state = self.states.get(agent_id)
             if state is None:
                 raise ValueError(f"wake for unknown agent {agent_id!r}")
@@ -245,9 +338,11 @@ class World:
     def report(self) -> RunReport:
         if self._queue:
             raise ValueError("report requested before quiescence")
-        if self.sent != self.delivered:
+        msg_counts = {kind.value: self.event_log.count(kind) for kind in MessageKind}
+        delivered = sum(msg_counts.values())
+        if self.sent != delivered:
             raise RuntimeError(
-                f"message conservation broken: sent {self.sent}, delivered {self.delivered}"
+                f"message conservation broken: sent {self.sent}, delivered {delivered}"
             )
         arrivals = [su.arrival_time for su in self.scenario.sus]
         run_response = None
@@ -260,9 +355,9 @@ class World:
         }
         per_su = {su.id: self.per_su_response.get(su.id) for su in self.scenario.sus}
         return RunReport(
-            event_log=list(self.event_log),
-            msg_counts=dict(self.msg_counts),
-            total_messages=self.delivered,
+            event_log=self.event_log,
+            msg_counts=msg_counts,
+            total_messages=delivered,
             per_su_response=per_su,
             run_response=run_response,
             allocations=list(self.allocations),
@@ -275,7 +370,7 @@ class World:
 
 def _time_overflow(what: str, message: Message, time: float) -> RuntimeError:
     return RuntimeError(
-        f"{what} time overflows to inf: {_WIRE_NAMES[message.kind]} from "
+        f"{what} time overflows to inf: {message.kind.value} from "
         f"{message.sender!r} to {message.recipient!r} at t={time!r}"
     )
 

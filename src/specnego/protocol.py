@@ -171,6 +171,8 @@ class SuCoalitionState:
     member_ids: tuple[str, ...]
     phase: CsuPhase = CsuPhase.COLLECTING
     demands: tuple[tuple[float, Demand], ...] = ()
+    # Members whose request has not arrived yet; None stands for all of them.
+    awaited: frozenset[str] | None = None
     # Open asks keyed by demand_ref (None for the aggregated batch): the
     # demands the ask settles and the offers replied so far. A settled ask
     # is dropped, so a late or unknown reply finds no entry.
@@ -397,8 +399,17 @@ def _handle_csu(
         if state.phase is not CsuPhase.COLLECTING:
             return _violation(state, me, f"SuRequest in phase {state.phase.value}", now)
         demand: Demand = msg.payload
+        sender = msg.sender
+        awaited = frozenset(state.member_ids) if state.awaited is None else state.awaited
+        if sender not in awaited:
+            if sender in state.member_ids:
+                return _violation(state, me, f"second SuRequest from {sender!r}", now)
+            return _violation(state, me, f"SuRequest from non-member {sender!r}", now)
+        if demand.su_id != sender:
+            return _violation(state, me, f"SuRequest from {sender!r} for another SU", now)
         demands = state.demands + ((now, demand),)
-        complete = len(demands) >= len(state.member_ids)
+        awaited = awaited - {sender}
+        complete = not awaited
         if not ctx.plan.aggregation:
             # Ask every PU-coalition about this one demand.
             kind, payload, delay = MessageKind.CFP_SINGLE, demand, ctx.timing.agg_per_demand
@@ -411,10 +422,10 @@ def _handle_csu(
             delay = ctx.timing.agg_per_demand * len(state.member_ids)
             asks = {None: (payload, ())}
         else:
-            return HandlerResult(state=replace(state, demands=demands))
+            return HandlerResult(state=replace(state, demands=demands, awaited=awaited))
         sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
         phase = CsuPhase.AWAITING_OFFERS if complete else CsuPhase.COLLECTING
-        new_state = replace(state, demands=demands, asks=asks, phase=phase)
+        new_state = replace(state, demands=demands, awaited=awaited, asks=asks, phase=phase)
         return HandlerResult(state=new_state, sends=sends)
 
     if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):

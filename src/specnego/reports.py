@@ -4,13 +4,17 @@ Every renderer is a pure string builder, so re-exporting the same report or
 table produces byte-identical files. Floats are written with ``repr`` (exact
 round-trip form); CSV uses ``,`` separators and ``.`` decimal points, and a
 field holding an agent id is quoted when the id needs it (``csv_field``).
+``events.jsonl`` is rendered in blocks of ``EVENT_BLOCK`` lines, which
+:func:`export_report` writes as they are made, so the whole text of a long
+run is never held.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .experiments import KIND_COLUMNS, MetricsTable
 from .kernel import RunReport
@@ -53,21 +57,29 @@ def render_metrics_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_events_jsonl(report: RunReport) -> str:
-    """One compact JSON object per event, byte for byte what ``json.dumps`` writes.
+EVENT_BLOCK = 10_000  # events.jsonl lines rendered (and written) at a time
 
-    Each distinct string (agent id, kind, payload kind) is JSON-encoded once
-    per render; a time is its ``repr``, as ``json`` writes a finite float.
-    The kernel never logs a non-finite time: it raises on overflow instead.
+
+def _event_blocks(report: RunReport) -> Iterator[str]:
+    """``events.jsonl`` in blocks of ``EVENT_BLOCK`` lines.
+
+    Each line is one compact JSON object, byte for byte what ``json.dumps``
+    writes: every distinct string is encoded once, and a time is its
+    ``repr``, as ``json`` writes a finite float. The kernel never logs a
+    non-finite time: it raises on overflow instead.
     """
-    enc = cache(json.dumps)
-    lines = [
-        f'{{"time":{time!r},"seq":{seq},'
-        f'"kind":{enc(kind)},"from":{enc(sender)},"to":{enc(recipient)},'
-        f'"payload_kind":{enc(payload_kind)}}}'
-        for time, seq, kind, sender, recipient, payload_kind in report.event_log
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    rows = report.event_log.rows(json.dumps)
+    while block := "".join([
+        f'{{"time":{time!r},"seq":{seq},"kind":{kind},"from":{sender},"to":{recipient},'
+        f'"payload_kind":{payload_kind}}}\n'
+        for time, seq, kind, sender, recipient, payload_kind in islice(rows, EVENT_BLOCK)
+    ]):
+        yield block
+
+
+def render_events_jsonl(report: RunReport) -> str:
+    """One compact JSON object per event, each line ended by a newline."""
+    return "".join(_event_blocks(report))
 
 
 def render_allocations_csv(report: RunReport) -> str:
@@ -88,9 +100,10 @@ def render_table_csv(table: MetricsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+def write_files(out_dir: str | Path, files: dict[str, str | Iterable[str]]) -> list[Path]:
     """Write each ``{name: text}`` into ``out_dir`` as UTF-8; returns the paths in order.
 
+    A text is a string or an iterable of strings written one after another.
     A failed write raises ``OSError("cannot write <path>: ...")``.
     """
     out = Path(out_dir)
@@ -99,7 +112,9 @@ def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     for name, text in files.items():
         path = out / name
         try:
-            path.write_bytes(text.encode("utf-8"))
+            with open(path, "wb") as stream:
+                for chunk in (text,) if isinstance(text, str) else text:
+                    stream.write(chunk.encode("utf-8"))
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
         written.append(path)
@@ -110,6 +125,6 @@ def export_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     """Write metrics.csv, events.jsonl, and allocations.csv into ``out_dir``."""
     return write_files(out_dir, {
         "metrics.csv": render_metrics_csv(report),
-        "events.jsonl": render_events_jsonl(report),
+        "events.jsonl": _event_blocks(report),
         "allocations.csv": render_allocations_csv(report),
     })

@@ -7,14 +7,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specnego
 from specnego import (
     Coordinator,
     MembershipOverride,
+    MessageKind,
     PrimaryUser,
+    RunReport,
     Scenario,
     SecondaryUser,
     TimingConstants,
@@ -24,9 +29,11 @@ from specnego import (
     topsis,
     validate,
 )
+from specnego import reports
 from specnego.charts import render_chart
 from specnego.cli import EXIT_RUNTIME, main
 from specnego.experiments import MetricsTable, experiment_spec, run_experiment
+from specnego.kernel import AGENT_WAKE, DELIVER, EventLog, LoggedEvent
 from specnego.matrix_io import closeness_csv, parse_matrix_csv
 from specnego.reports import (
     render_allocations_csv,
@@ -231,6 +238,80 @@ def exp_iv_table():
     return run_experiment(experiment_spec("exp_iv", su_sweep=(5, 10)))
 
 
+def json_dumps_lines(events):
+    """events.jsonl as ``json.dumps`` writes it: one compact object per event."""
+    return "".join(
+        json.dumps(
+            {
+                "time": e.time,
+                "seq": e.seq,
+                "kind": e.kind,
+                "from": e.sender,
+                "to": e.recipient,
+                "payload_kind": e.payload_kind,
+            },
+            separators=(",", ":"),
+        ) + "\n"
+        for e in events
+    )
+
+
+def report_with_log(event_log):
+    """A RunReport around ``event_log``, every other field empty."""
+    return RunReport(
+        event_log=event_log, msg_counts={}, total_messages=0, per_su_response={},
+        run_response=None, allocations=[], quiescent_at=0.0, protocol_violations=[],
+        registries={}, final_capacities={},
+    )
+
+
+# Agent ids that JSON must escape or that are not ASCII, and arbitrary text.
+AGENT_IDS = st.text() | st.sampled_from(
+    ['pu"q', "pu\\b", "su\t1", "su\u00e9", "su\u96ea", "\x00", ""]
+)
+EVENT_ROWS = st.lists(st.tuples(
+    st.sampled_from([-0.0, 5e-324, 1e308]) | st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**63 - 1),
+    AGENT_IDS,
+    AGENT_IDS,
+    st.sampled_from([None, *MessageKind]),
+), max_size=30)
+
+
+@given(EVENT_ROWS, st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_event_log_reads_back_its_rows(rows, block):
+    log, again = EventLog(), EventLog()
+    for row in rows:
+        log.append(*row)
+        again.append(*row)
+    expected = [
+        LoggedEvent(time, seq, AGENT_WAKE if payload is None else DELIVER, sender, recipient,
+                    None if payload is None else payload.value)
+        for time, seq, sender, recipient, payload in rows
+    ]
+    n = len(expected)
+    assert len(log) == n
+    assert list(log) == expected
+    assert [log[i] for i in range(n)] == expected
+    assert [log[i - n] for i in range(n)] == expected
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[i]
+    assert log == again
+    if rows:
+        shorter, changed = EventLog(), EventLog()
+        for row in rows[:-1]:
+            shorter.append(*row)
+            changed.append(*row)
+        time, seq, *rest = rows[-1]
+        changed.append(time, seq ^ 1, *rest)
+        assert log != shorter and log != changed
+    # rendered in blocks of a few lines, so rows cross block boundaries
+    with mock.patch.object(reports, "EVENT_BLOCK", block):
+        assert render_events_jsonl(report_with_log(log)) == json_dumps_lines(expected)
+
+
 class TestReportExports:
     def test_metrics_row_for_total(self, report):
         assert "total_messages,75" in render_metrics_csv(report).splitlines()
@@ -275,22 +356,8 @@ class TestReportExports:
     ], ids=["escaped_ids", "special_times"])
     def test_events_jsonl_matches_json_dumps(self, scenario):
         report = run(scenario)
-        reference = "".join(
-            json.dumps(
-                {
-                    "time": e.time,
-                    "seq": e.seq,
-                    "kind": e.kind,
-                    "from": e.sender,
-                    "to": e.recipient,
-                    "payload_kind": e.payload_kind,
-                },
-                separators=(",", ":"),
-            ) + "\n"
-            for e in report.event_log
-        )
         text = render_events_jsonl(report)
-        assert text == reference
+        assert text == json_dumps_lines(report.event_log)
         lines = text.splitlines()
         assert len(lines) == len(report.event_log) > 0
         for line, event in zip(lines, report.event_log):

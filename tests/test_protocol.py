@@ -472,6 +472,42 @@ class TestCsuHandlers:
         assert len(result.allocations) == 1
         assert result.state.asks == {} and result.state.phase is CsuPhase.DONE
 
+    @staticmethod
+    def request(sender, su_id=None):
+        return Message(MessageKind.SU_REQUEST, sender, "csu0", Demand(su_id or sender, 2))
+
+    @pytest.mark.parametrize("aggregation", [True, False])
+    def test_second_request_from_a_member_is_violation(self, aggregation):
+        ctx = make_ctx(aggregation=aggregation, cpu_ids=("cpu0", "cpu1"))
+        state = SuCoalitionState("csu0", ("su0000", "su0001"))
+        state = handle(state, self.request("su0000"), 10.0, ctx).state
+        again = handle(state, self.request("su0000"), 20.0, ctx)
+        assert again.violation == "t=20: second SuRequest from 'su0000' at 'csu0'"
+        assert again.state is state and again.sends == [] and again.allocations == []
+        assert state.phase is CsuPhase.COLLECTING
+        # the other member's request still completes the coalition
+        result = handle(state, self.request("su0001"), 30.0, ctx)
+        assert result.state.phase is CsuPhase.AWAITING_OFFERS
+        assert [d.su_id for _, d in result.state.demands] == ["su0000", "su0001"]
+        if aggregation:
+            assert [m.kind for m, _ in result.sends] == [MessageKind.CFP] * 2
+            assert [d.su_id for d in result.sends[0][0].payload] == ["su0000", "su0001"]
+
+    def test_request_from_non_member_is_violation(self):
+        ctx = make_ctx()
+        state = SuCoalitionState("csu0", ("su0000", "su0001"))
+        result = handle(state, self.request("su_stranger"), 10.0, ctx)
+        assert result.violation == "t=10: SuRequest from non-member 'su_stranger' at 'csu0'"
+        assert result.state is state and result.sends == []
+        assert state.demands == ()
+
+    def test_request_for_another_su_is_violation(self):
+        ctx = make_ctx()
+        state = SuCoalitionState("csu0", ("su0000", "su0001"))
+        result = handle(state, self.request("su0001", "su0000"), 10.0, ctx)
+        assert result.violation == "t=10: SuRequest from 'su0001' for another SU at 'csu0'"
+        assert result.state is state and result.sends == []
+
     def test_handler_is_pure(self):
         state = SuCoalitionState("csu0", ("su0",))
         ctx = make_ctx()
