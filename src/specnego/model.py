@@ -233,6 +233,7 @@ def validate(scenario: Scenario) -> list[str]:
     for name, value in asdict(scenario.timing).items():
         if not (math.isfinite(value) and value >= 0):
             out.append(f"timing.{name}: must be >= 0 and finite, got {value}")
+    _check_time_bound(scenario, out)
 
     if scenario.memberships is not None:
         check_override(
@@ -251,6 +252,41 @@ def validate(scenario: Scenario) -> list[str]:
         )
 
     return out
+
+
+# The longest message chain: SuRequest, Cfp, the coordinator's reply, SuReply
+# (cpu_csu). The other wirings end in fewer hops and one ranking delay.
+_MAX_HOPS = 4
+
+
+def _check_time_bound(scenario: Scenario, out: list[str]) -> None:
+    """Append a problem when an event time of the run could overflow to inf.
+
+    From the latest arrival, apply ``_MAX_HOPS`` times ``t + delay + latency``
+    in the kernel's order, then add the delay once more for an SU's
+    completion, where ``delay`` is the largest single delay any handler
+    charges. Rounding is monotone for non-negative operands, so when this
+    bound is finite no event or completion time of the run can be inf.
+    """
+    timing = scenario.timing
+    arrivals = [su.arrival_time for su in scenario.sus]
+    if not arrivals or not all(map(math.isfinite, (*arrivals, *asdict(timing).values()))):
+        return  # no SU starts a chain, or the values are reported above
+    delay = max(
+        timing.pu_reply,
+        timing.cpu_select,
+        timing.agg_per_demand * len(scenario.sus),
+        timing.rank_per_offer * max(len(scenario.pus), len(scenario.cpu_coordinators)),
+    )
+    t = latest = max(arrivals)
+    for _ in range(_MAX_HOPS):
+        t = t + delay + timing.latency
+    if t + delay == math.inf:
+        out.append(
+            f"timing: event times may overflow to inf: the latest arrival {latest!r} plus "
+            f"{_MAX_HOPS} hops of latency {timing.latency!r} and the largest delay "
+            f"{delay!r}, and that delay once more, is not finite"
+        )
 
 
 def check_override(

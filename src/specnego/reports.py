@@ -6,7 +6,9 @@ round-trip form); CSV uses ``,`` separators and ``.`` decimal points, and a
 field holding an agent id is quoted when the id needs it (``csv_field``).
 ``events.jsonl`` is rendered in blocks of ``EVENT_BLOCK`` lines, which
 :func:`export_report` writes as they are made, so the whole text of a long
-run is never held.
+run is never held. :func:`render_events_jsonl`, which must return the text,
+holds it once: it grows one string block by block (``+=``) instead of
+joining a list of every block, which would hold the text twice.
 """
 
 from __future__ import annotations
@@ -78,8 +80,22 @@ def _event_blocks(report: RunReport) -> Iterator[str]:
 
 
 def render_events_jsonl(report: RunReport) -> str:
-    """One compact JSON object per event, each line ended by a newline."""
-    return "".join(_event_blocks(report))
+    """One compact JSON object per event, each line ended by a newline.
+
+    The text is held once, plus the block being added. ``"".join`` over the
+    blocks would keep every block alive until the joined copy is complete,
+    about twice the text at once (some 2 GB near the 10M-event cap). PEP 8
+    warns against relying on ``+=`` for strings, but here it is what bounds
+    memory: CPython resizes a string in place when the left operand's
+    variable holds its only reference, and a buffer this large is grown by
+    ``realloc`` without a copy. An interpreter without that optimization
+    writes the same text, only with more time and memory.
+    ``tests/test_cli.py`` pins the bound.
+    """
+    text = ""
+    for block in _event_blocks(report):
+        text += block
+    return text
 
 
 def render_allocations_csv(report: RunReport) -> str:

@@ -106,6 +106,39 @@ class TestRunCommand:
         expected = render_events_jsonl(run(scenario)).encode("utf-8")
         assert (out / "events.jsonl").read_bytes() == expected
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RSS from procfs")
+    def test_rendered_events_text_is_held_once(self, tmp_path):
+        # The same 41 MB events.jsonl rendered to one string: the peak RSS
+        # may grow by the text and a block, not by the text twice (joining
+        # every block held them and their join at once, about 2.0x; the
+        # in-place += holds about 1.1x). The peak is VmHWM, not ru_maxrss,
+        # which keeps the forking test process's peak across exec.
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from specnego import generate_scenario, run\n"
+            "from specnego.reports import export_report, render_events_jsonl\n"
+            "def status_kb(field):\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        line = next(l for l in status if l.startswith(field + ':'))\n"
+            "    return int(line.split()[1])\n"
+            "report = run(generate_scenario('no_coalition', 200, 0, (1000,), seed=1))\n"
+            "before = status_kb('VmRSS')\n"
+            "text = render_events_jsonl(report)\n"
+            "grown = (status_kb('VmHWM') - before) * 1024\n"
+            "data = text.encode('utf-8')\n"
+            "export_report(report, sys.argv[1])\n"
+            "print(grown, len(data), int((Path(sys.argv[1]) / 'events.jsonl').read_bytes() == data))\n"
+        )
+        src = str(Path(specnego.__file__).resolve().parents[1])
+        stdout = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        ).stdout
+        grown, size, same = map(int, stdout.split())
+        assert same, "render_events_jsonl differs from the exported events.jsonl"
+        assert grown < 1.5 * size, f"peak RSS grew {grown / size:.2f}x the text"
+
 
 class TestTopsisCommand:
     def test_ranks_matrix(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ from specnego import (
 )
 from specnego import reports
 from specnego.charts import render_chart
-from specnego.cli import EXIT_RUNTIME, main
+from specnego.cli import EXIT_VALIDATION, main
 from specnego.experiments import MetricsTable, experiment_spec, run_experiment
 from specnego.kernel import AGENT_WAKE, DELIVER, EventLog, LoggedEvent
 from specnego.matrix_io import closeness_csv, parse_matrix_csv
@@ -347,7 +347,7 @@ class TestReportExports:
                  SecondaryUser("su\u00e9", Zone(0, 2), 1, 5.0),
                  SecondaryUser("su\u96ea", Zone(0, 3), 2, 5.0)),
         ),
-        # a time json writes specially: -0.0 (an overflow to inf raises, see below)
+        # a time json writes specially: -0.0 (an overflow to inf is rejected, see below)
         Scenario(
             topology="no_coalition",
             pus=(PrimaryUser("pu0", Zone(0, 0), 2, 10.0, 60.0),),
@@ -399,7 +399,7 @@ class TestReportExports:
         assert {len(row) for row in closeness} == {3}
         assert [row[0] for row in closeness[1:]] == list(matrix.alternatives)
 
-    def test_delivery_time_overflow_raises(self, tmp_path):
+    def test_delivery_time_overflow_raises(self, tmp_path, monkeypatch):
         # finite timing values whose sum overflows: 1e308 + 0 + 1e308 is inf
         scenario = Scenario(
             topology="no_coalition",
@@ -408,19 +408,24 @@ class TestReportExports:
                  SecondaryUser("su1", Zone(0, 2), 1, 1e308)),
             timing=TimingConstants(latency=1e308),
         )
-        assert validate(scenario) == []
+        assert validate(scenario) == [
+            "timing: event times may overflow to inf: the latest arrival 1e+308 plus 4 hops "
+            "of latency 1e+308 and the largest delay 10.0, and that delay once more, is not finite"
+        ]
+        path = tmp_path / "overflow.json"
+        path.write_text(scenario_to_json(scenario), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert not (out / "events.jsonl").exists()
+        # the kernel still guards a run that skips the bound
+        monkeypatch.setattr("specnego.kernel.validate", lambda scenario: [])
         with pytest.raises(
             RuntimeError,
             match=r"delivery time overflows to inf: CfpSingle from 'su1' to 'pu0' at t=1e\+308",
         ):
             run(scenario)
-        path = tmp_path / "overflow.json"
-        path.write_text(scenario_to_json(scenario), encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == EXIT_RUNTIME
-        assert not (out / "events.jsonl").exists()
 
-    def test_completion_time_overflow_raises(self):
+    def test_completion_time_overflow_raises(self, monkeypatch):
         # every send is finite, but ranking two offers costs 2e308
         scenario = Scenario(
             topology="no_coalition",
@@ -429,6 +434,8 @@ class TestReportExports:
             sus=(SecondaryUser("su0", Zone(0, 1), 1, 0.0),),
             timing=TimingConstants(rank_per_offer=1e308),
         )
+        assert [p.split(":")[0] for p in validate(scenario)] == ["timing"]
+        monkeypatch.setattr("specnego.kernel.validate", lambda scenario: [])
         with pytest.raises(RuntimeError, match="completion time overflows to inf: CpuOffer"):
             run(scenario)
 

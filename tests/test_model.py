@@ -1,8 +1,12 @@
 """Scenario model and validation tests."""
 
 import dataclasses
+import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specnego import (
     Coordinator,
@@ -13,8 +17,10 @@ from specnego import (
     TimingConstants,
     Zone,
     generate_scenario,
+    run,
     validate,
 )
+from specnego.model import TOPOLOGIES
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -142,6 +148,67 @@ class TestValidate:
         first = validate(scenario)
         second = validate(scenario)
         assert first == second == []
+
+
+# Timing values and arrivals near the float limit, where the sums the kernel
+# forms (t + delay + latency, and rank_per_offer x offers) overflow to inf.
+huge = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e306, 1e307, 2e307, 5e307, 1e308, sys.float_info.max]),
+    st.floats(min_value=0.0, max_value=sys.float_info.max),
+)
+
+
+@st.composite
+def huge_timed_scenarios(draw) -> Scenario:
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    n_pus, n_sus = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_cpus = 0 if topology == "no_coalition" else draw(st.integers(1, 3))
+    n_csus = draw(st.integers(1, 2)) if topology == "cpu_csu" else 0
+    return Scenario(
+        topology=topology,
+        pus=tuple(PrimaryUser(f"pu{j}", Zone(j, 0), draw(st.integers(0, 3)), 10.0 + j, 60.0)
+                  for j in range(n_pus)),
+        sus=tuple(SecondaryUser(f"su{j}", Zone(j, 10), draw(st.integers(1, 3)), draw(huge))
+                  for j in range(n_sus)),
+        cpu_coordinators=tuple(Coordinator(f"cpu{j}", Zone(j, 1)) for j in range(n_cpus)),
+        csu_coordinators=tuple(Coordinator(f"csu{j}", Zone(j, 9)) for j in range(n_csus)),
+        aggregation=draw(st.booleans()),
+        timing=TimingConstants(**{
+            f.name: draw(huge) for f in dataclasses.fields(TimingConstants)
+        }),
+    )
+
+
+class TestTimeBound:
+    @settings(max_examples=300, deadline=None)
+    @given(huge_timed_scenarios())
+    def test_accepted_scenarios_never_overflow(self, scenario):
+        problems = validate(scenario)
+        if problems:
+            assert [p.split(":")[0] for p in problems] == ["timing"]
+            return
+        report = run(scenario)  # the kernel raises on an inf time
+        assert all(math.isfinite(event.time) for event in report.event_log)
+        assert math.isfinite(report.quiescent_at)
+
+    def test_bound_is_tight_on_the_four_hop_chain(self, monkeypatch):
+        # cpu_csu reaches an SU in four hops (SuRequest, Cfp, CpuOffer,
+        # SuReply); with zero delays a run's last time is the bound itself
+        latency = sys.float_info.max / 4.5
+        timing = TimingConstants(latency=latency, agg_per_demand=0.0, cpu_select=0.0,
+                                 rank_per_offer=0.0, pu_reply=0.0)
+        assert validate(small_scenario(timing=timing)) == []
+        late = small_scenario(sus=(SecondaryUser("su0", Zone(1, 10), 2, latency),), timing=timing)
+        assert [p.split(":")[0] for p in validate(late)] == ["timing"]
+        monkeypatch.setattr("specnego.kernel.validate", lambda scenario: [])
+        with pytest.raises(RuntimeError, match="delivery time overflows to inf: SuReply"):
+            run(late)
+
+    def test_no_sus_nothing_to_bound(self):
+        scenario = small_scenario(sus=(), csu_coordinators=(),
+                                  topology="cpu_only",
+                                  timing=TimingConstants(latency=sys.float_info.max))
+        assert validate(scenario) == []
 
 
 class TestModelTypes:
