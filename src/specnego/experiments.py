@@ -1,4 +1,4 @@
-"""Closed-form message accounting, scenario generators, and the built-in studies.
+"""Scenario generators and the built-in studies.
 
 Each study (``exp_i`` .. ``exp_iv``) is one entry of :data:`STUDIES`: its
 configuration, notes, row keys and chart shape, plus a generator of the
@@ -18,13 +18,14 @@ from dataclasses import asdict, dataclass, field, replace
 from .kernel import run
 from .model import (
     DEFAULT_WEIGHTS,
-    TOPOLOGIES,
+    WIRINGS,
     Coordinator,
     PrimaryUser,
     Scenario,
     SecondaryUser,
     TimingConstants,
     Zone,
+    expected_messages,
 )
 from .protocol import MessageKind
 
@@ -52,46 +53,6 @@ REQUEST_RANGE = (1, 3)
 ARRIVAL_SPACING = 100.0
 
 
-def expected_messages(
-    topology: str,
-    aggregation: bool | None,
-    su_count: int,
-    pu_count: int,
-    cpu_count: int | None = None,
-    csu_count: int | None = None,
-) -> int:
-    """Closed-form directed-message total for one run.
-
-    Counts every protocol message including the initial PU registrations
-    (one per PU in the coalition topologies) and negative coordinator
-    replies (a CpuNoOffer is still the coordinator's one reply).
-    """
-    for name, value in (("su_count", su_count), ("pu_count", pu_count),
-                        ("cpu_count", cpu_count), ("csu_count", csu_count)):
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-    if topology == "no_coalition":
-        if cpu_count or csu_count:
-            raise ValueError("no_coalition admits no coalition coordinators")
-        return 2 * su_count * pu_count
-    if topology == "cpu_only":
-        if not cpu_count:
-            raise ValueError("cpu_only requires at least one PU-coalition")
-        if csu_count:
-            raise ValueError("cpu_only admits no SU-coalitions")
-        return pu_count + 2 * su_count * cpu_count
-    if topology == "cpu_csu":
-        if not cpu_count or not csu_count:
-            raise ValueError("cpu_csu requires PU- and SU-coalitions")
-        if aggregation is None:
-            raise ValueError("cpu_csu requires the aggregation flag")
-        if aggregation:
-            return pu_count + 2 * su_count + 2 * csu_count * cpu_count
-        return pu_count + 2 * su_count + 2 * su_count * cpu_count
-    raise ValueError(f"unknown topology {topology!r}")
-
-
 def generate_scenario(
     topology: str,
     pu_count: int,
@@ -111,6 +72,11 @@ def generate_scenario(
     clusters so nearest-coordinator assignment reproduces the intended
     memberships.
     """
+    if topology not in WIRINGS:
+        raise ValueError(f"unknown topology {topology!r}")
+    wiring = WIRINGS[topology]
+    cpu_count = cpu_count if wiring.pu_coalitions else 0
+    csu_count = len(su_groups) if wiring.su_coalitions else 0
     rng = random.Random(seed)
     timing = timing or TimingConstants()
 
@@ -119,11 +85,11 @@ def generate_scenario(
         channels = rng.randint(*CHANNELS_RANGE)
         price = rng.uniform(*PRICE_RANGE)
         alloc_time = rng.uniform(*ALLOC_TIME_RANGE)
-        if topology == "no_coalition":
-            zone = Zone(10.0 * j, 0.0)
-        else:
+        if wiring.pu_coalitions:
             block = j * cpu_count // pu_count
             zone = Zone(100.0 * block + 1.0 + 0.01 * j, 0.0)
+        else:
+            zone = Zone(10.0 * j, 0.0)
         pus.append(PrimaryUser(f"pu{j:03d}", zone, channels, price, alloc_time))
 
     sus = []
@@ -131,7 +97,7 @@ def generate_scenario(
     for group, size in enumerate(su_groups):
         for position in range(size):
             requested = rng.randint(*REQUEST_RANGE)
-            if topology == "cpu_csu":
+            if wiring.su_coalitions:
                 zone = Zone(100.0 * group + 1.0 + 0.01 * position, 1000.0)
             else:
                 zone = Zone(10.0 * index, 1000.0)
@@ -142,24 +108,16 @@ def generate_scenario(
             )
             index += 1
 
-    cpu_coordinators = ()
-    csu_coordinators = ()
-    if topology in ("cpu_only", "cpu_csu"):
-        cpu_coordinators = tuple(
-            Coordinator(f"cpu{k:02d}", Zone(100.0 * k, 0.0)) for k in range(cpu_count)
-        )
-    if topology == "cpu_csu":
-        csu_coordinators = tuple(
-            Coordinator(f"csu{c:03d}", Zone(100.0 * c, 1000.0))
-            for c in range(len(su_groups))
-        )
-
     return Scenario(
         topology=topology,
         pus=tuple(pus),
         sus=tuple(sus),
-        cpu_coordinators=cpu_coordinators,
-        csu_coordinators=csu_coordinators,
+        cpu_coordinators=tuple(
+            Coordinator(f"cpu{k:02d}", Zone(100.0 * k, 0.0)) for k in range(cpu_count)
+        ),
+        csu_coordinators=tuple(
+            Coordinator(f"csu{c:03d}", Zone(100.0 * c, 1000.0)) for c in range(csu_count)
+        ),
         aggregation=aggregation,
         seed=seed,
         weights=weights,
@@ -208,11 +166,11 @@ def _csu_split_runs(spec: ExperimentSpec) -> Iterator[tuple]:
 
 
 def _topology_runs(spec: ExperimentSpec) -> Iterator[tuple]:
-    for topology in TOPOLOGIES:
-        cpu_count = 0 if topology == "no_coalition" else spec.cpu_count
+    for topology, wiring in WIRINGS.items():
+        cpu_count = spec.cpu_count if wiring.pu_coalitions else 0
         for su_count in spec.su_sweep:
             groups = (su_count,)
-            if topology == "cpu_csu":
+            if wiring.su_coalitions:
                 full, rest = divmod(su_count, spec.csu_size)
                 groups = (spec.csu_size,) * full + ((rest,) if rest else ())
             yield f"{topology} S={su_count}", (topology, su_count), topology, cpu_count, groups
@@ -275,11 +233,7 @@ def experiment_spec(
 
 
 def run_experiment(spec: ExperimentSpec, event_cap: int | None = None) -> MetricsTable:
-    """Run every configuration of a study and tabulate the metrics.
-
-    Every row's simulated message total is checked against
-    :func:`expected_messages`; a mismatch aborts the study.
-    """
+    """Run every configuration of a study and tabulate the metrics."""
     study = STUDIES[spec.experiment_id]
     rows = []
     for label, keys, topology, cpu_count, groups in study.runs(spec):
@@ -287,16 +241,7 @@ def run_experiment(spec: ExperimentSpec, event_cap: int | None = None) -> Metric
             topology, spec.pu_count, cpu_count, groups,
             seed=spec.seed, weights=spec.weights, timing=spec.timing,
         )
-        cpu_csu = topology == "cpu_csu"
-        expected = expected_messages(
-            topology, True if cpu_csu else None, sum(groups), spec.pu_count,
-            cpu_count or None, len(groups) if cpu_csu else None,
-        )
         report = run(scenario, event_cap=event_cap)
-        if report.total_messages != expected:
-            raise RuntimeError(
-                f"simulated total {report.total_messages} != closed form {expected}"
-            )
         rows.append((label, *keys, report.total_messages, report.run_response)
                     + tuple(report.msg_counts[kind] for kind in KIND_COLUMNS))
     timing = ", ".join(f"{name}={value:g}" for name, value in asdict(spec.timing).items())

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
 from .coalitions import ParamRegistry
-from .model import Offer, Scenario, validate
+from .model import WIRINGS, Offer, Scenario, expected_messages, validate
 from .protocol import (
     Allocation,
     HandlerContext,
@@ -250,7 +250,7 @@ class World:
 
         # Seed the run: PU parameter registrations delivered at t=0 in the
         # coalition topologies, and one wake per SU at its arrival time.
-        if self.plan.topology in ("cpu_only", "cpu_csu"):
+        if WIRINGS[self.plan.topology].pu_coalitions:
             for pu_id, offer in offers.items():
                 message = Message(MessageKind.PARAM_UPDATE, pu_id, offer.cpu_id, offer)
                 self._schedule(0.0, DELIVER, message=message)
@@ -340,9 +340,15 @@ class World:
             raise ValueError("report requested before quiescence")
         msg_counts = {kind.value: self.event_log.count(kind) for kind in MessageKind}
         delivered = sum(msg_counts.values())
-        if self.sent != delivered:
+        plan = self.plan
+        expected = expected_messages(
+            plan.topology, plan.aggregation, len(self.scenario.sus), len(plan.pu_ids),
+            len(plan.cpu_ids), sum(map(bool, plan.csu_membership.values())),
+        )
+        if not self.sent == delivered == expected:
             raise RuntimeError(
-                f"message conservation broken: sent {self.sent}, delivered {delivered}"
+                f"message conservation broken: sent {self.sent}, delivered {delivered}, "
+                f"closed form {expected}"
             )
         arrivals = [su.arrival_time for su in self.scenario.sus]
         run_response = None

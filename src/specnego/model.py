@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .topsis import CriterionSense
 
@@ -19,6 +19,8 @@ __all__ = [
     "CRITERIA_SENSES",
     "DEFAULT_WEIGHTS",
     "TOPOLOGIES",
+    "WIRINGS",
+    "Wiring",
     "Zone",
     "PrimaryUser",
     "SecondaryUser",
@@ -29,6 +31,7 @@ __all__ = [
     "Scenario",
     "validate",
     "check_override",
+    "expected_messages",
 ]
 
 # Offer criteria, in matrix column order: maximize channels and allocation
@@ -37,7 +40,20 @@ CRITERION_LABELS = ("channels", "price", "alloc_time")
 CRITERIA_SENSES = (CriterionSense.BENEFIT, CriterionSense.COST, CriterionSense.BENEFIT)
 DEFAULT_WEIGHTS = (0.2, 0.5, 0.3)
 
-TOPOLOGIES = ("no_coalition", "cpu_only", "cpu_csu")
+
+class Wiring(NamedTuple):
+    """The coalitions a topology forms; see :mod:`specnego.protocol` for their messages."""
+
+    pu_coalitions: bool
+    su_coalitions: bool
+
+
+WIRINGS = {
+    "no_coalition": Wiring(pu_coalitions=False, su_coalitions=False),
+    "cpu_only": Wiring(pu_coalitions=True, su_coalitions=False),
+    "cpu_csu": Wiring(pu_coalitions=True, su_coalitions=True),
+}
+TOPOLOGIES = tuple(WIRINGS)
 
 
 @dataclass(frozen=True)
@@ -215,14 +231,11 @@ def validate(scenario: Scenario) -> list[str]:
         if not (math.isfinite(su.arrival_time) and su.arrival_time >= 0):
             out.append(f"sus[{i}].arrival_time: must be >= 0 and finite, got {su.arrival_time}")
 
-    if scenario.topology in ("cpu_only", "cpu_csu") and not scenario.cpu_coordinators:
-        out.append(f"cpu_coordinators: topology {scenario.topology!r} requires at least one")
-    if scenario.topology == "cpu_csu" and not scenario.csu_coordinators:
-        out.append("csu_coordinators: topology 'cpu_csu' requires at least one")
-    if scenario.topology == "no_coalition" and scenario.cpu_coordinators:
-        out.append("cpu_coordinators: topology 'no_coalition' admits none")
-    if scenario.topology in ("no_coalition", "cpu_only") and scenario.csu_coordinators:
-        out.append(f"csu_coordinators: topology {scenario.topology!r} admits none")
+    wiring = WIRINGS.get(scenario.topology, ())
+    for kind, formed in zip(("cpu_coordinators", "csu_coordinators"), wiring):
+        if formed != bool(getattr(scenario, kind)):
+            need = "requires at least one" if formed else "admits none"
+            out.append(f"{kind}: topology {scenario.topology!r} {need}")
 
     if len(scenario.weights) != 3:
         out.append(f"weights: expected 3 values, got {len(scenario.weights)}")
@@ -254,39 +267,73 @@ def validate(scenario: Scenario) -> list[str]:
     return out
 
 
-# The longest message chain: SuRequest, Cfp, the coordinator's reply, SuReply
-# (cpu_csu). The other wirings end in fewer hops and one ranking delay.
-_MAX_HOPS = 4
-
-
 def _check_time_bound(scenario: Scenario, out: list[str]) -> None:
     """Append a problem when an event time of the run could overflow to inf.
 
-    From the latest arrival, apply ``_MAX_HOPS`` times ``t + delay + latency``
-    in the kernel's order, then add the delay once more for an SU's
-    completion, where ``delay`` is the largest single delay any handler
-    charges. Rounding is monotone for non-negative operands, so when this
+    Walks one SU's message chain for the scenario's wiring from the latest
+    arrival, applying ``t + delay + latency`` per hop in the kernel's order
+    with each hop's largest delay, then adds the delay at which the SU
+    completes. Rounding is monotone for non-negative operands, so when this
     bound is finite no event or completion time of the run can be inf.
     """
     timing = scenario.timing
     arrivals = [su.arrival_time for su in scenario.sus]
-    if not arrivals or not all(map(math.isfinite, (*arrivals, *asdict(timing).values()))):
+    wiring = WIRINGS.get(scenario.topology)
+    if (wiring is None or not arrivals
+            or not all(map(math.isfinite, (*arrivals, *asdict(timing).values())))):
         return  # no SU starts a chain, or the values are reported above
-    delay = max(
-        timing.pu_reply,
-        timing.cpu_select,
-        timing.agg_per_demand * len(scenario.sus),
-        timing.rank_per_offer * max(len(scenario.pus), len(scenario.cpu_coordinators)),
-    )
+    # The replies come from every PU-coalition, or from every PU where there are none.
+    reply = timing.cpu_select if wiring.pu_coalitions else timing.pu_reply
+    ranking = timing.rank_per_offer * len(
+        scenario.cpu_coordinators if wiring.pu_coalitions else scenario.pus)
+    if wiring.su_coalitions:  # SuRequest, the call, the reply, and SuReply, which completes
+        demands = len(scenario.sus) if scenario.aggregation else 1
+        hops, completion = (0.0, timing.agg_per_demand * demands, reply, ranking), 0.0
+    else:  # the call and the reply, then the SU ranks the replies
+        hops, completion = (0.0, reply), ranking
     t = latest = max(arrivals)
-    for _ in range(_MAX_HOPS):
+    for delay in hops:
         t = t + delay + timing.latency
-    if t + delay == math.inf:
+    if t + completion == math.inf:
         out.append(
             f"timing: event times may overflow to inf: the latest arrival {latest!r} plus "
-            f"{_MAX_HOPS} hops of latency {timing.latency!r} and the largest delay "
-            f"{delay!r}, and that delay once more, is not finite"
+            f"the {scenario.topology!r} chain's delays {hops!r}, each plus latency "
+            f"{timing.latency!r}, and the completion delay {completion!r}, is not finite"
         )
+
+
+def expected_messages(
+    topology: str,
+    aggregation: bool | None,
+    su_count: int,
+    pu_count: int,
+    cpu_count: int | None = None,
+    csu_count: int | None = None,
+) -> int:
+    """Closed-form directed-message total for one run, negative replies included.
+
+    ``cpu_count`` counts PU-coalition coordinators (each one answers, with or
+    without members), ``csu_count`` the SU-coalitions with at least one member
+    (an empty one sends nothing); each is 0 or None where the wiring forms no
+    such coalitions. ``aggregation`` matters only with SU-coalitions.
+    """
+    wiring = WIRINGS.get(topology)
+    if wiring is None:
+        raise ValueError(f"unknown topology {topology!r}")
+    # With SUs, each one is in exactly one SU-coalition.
+    csu_counts = range(min(su_count, 1), su_count + 1) if wiring.su_coalitions else (None, 0)
+    if (min(su_count, pu_count, cpu_count or 0) < 0 or bool(cpu_count) != wiring.pu_coalitions
+            or csu_count not in csu_counts or (wiring.su_coalitions and aggregation is None)):
+        raise ValueError(
+            f"{topology} cannot have {su_count} SUs, {pu_count} PUs, {cpu_count} PU-coalitions, "
+            f"{csu_count} SU-coalitions with members and aggregation {aggregation}")
+    # Each ask (an SU's own, or its SU-coalition's per demand or per batch) goes
+    # to, and is answered by, every PU-coalition, or every PU where there are none.
+    targets = cpu_count if wiring.pu_coalitions else pu_count
+    asks = csu_count if wiring.su_coalitions and aggregation else su_count
+    registrations = pu_count if wiring.pu_coalitions else 0
+    su_hops = 2 * su_count if wiring.su_coalitions else 0
+    return registrations + su_hops + 2 * asks * targets
 
 
 def check_override(

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence, Union
 
 from .coalitions import Membership, ParamRegistry, best_offer, form_coalitions, register_params
-from .model import CRITERIA_SENSES, CRITERION_LABELS, Offer, Scenario, TimingConstants
+from .model import CRITERIA_SENSES, CRITERION_LABELS, WIRINGS, Offer, Scenario, TimingConstants
 from .topsis import DecisionMatrix, topsis
 
 __all__ = [
@@ -201,15 +201,16 @@ class TopologyPlan:
 
 def topology_plan(scenario: Scenario) -> TopologyPlan:
     """Resolve coalition memberships and per-agent message targets."""
+    wiring = WIRINGS[scenario.topology]
     cpu_membership: Membership = {}
     csu_membership: Membership = {}
-    if scenario.topology in ("cpu_only", "cpu_csu"):
+    if wiring.pu_coalitions:
         cpu_membership = form_coalitions(
             [(pu.id, pu.zone) for pu in scenario.pus],
             [(c.id, c.zone) for c in scenario.cpu_coordinators],
             scenario.memberships.cpu if scenario.memberships else None,
         )
-    if scenario.topology == "cpu_csu":
+    if wiring.su_coalitions:
         csu_membership = form_coalitions(
             [(su.id, su.zone) for su in scenario.sus],
             [(c.id, c.zone) for c in scenario.csu_coordinators],
@@ -314,8 +315,8 @@ def _quote(me: str, to: str, offer: Offer | None, ref: str | None) -> Message:
 
 
 def _direct_targets(plan: TopologyPlan) -> tuple[str, ...]:
-    """The agents an SU asks itself: every PU-coalition under cpu_only, else every PU."""
-    return plan.cpu_ids if plan.topology == "cpu_only" else plan.pu_ids
+    """The agents an SU asks itself: every PU-coalition where PUs form them, else every PU."""
+    return plan.cpu_ids if WIRINGS[plan.topology].pu_coalitions else plan.pu_ids
 
 
 def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerResult:
@@ -327,7 +328,7 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
 
     me = state.agent_id
     demand = Demand(su_id=me, channels_requested=state.channels_requested)
-    if ctx.plan.topology == "cpu_csu":
+    if WIRINGS[ctx.plan.topology].su_coalitions:
         target = ctx.plan.csu_of_su[me]
         sends = [(Message(MessageKind.SU_REQUEST, me, target, demand), 0.0)]
     else:
@@ -475,7 +476,7 @@ def _handle_su(
 
     if (
         msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER)
-        and ctx.plan.topology != "cpu_csu"  # there the SU-coalition asks
+        and not WIRINGS[ctx.plan.topology].su_coalitions  # else the SU-coalition asks
     ):
         offers = state.offers + (msg.payload.offer,)
         if len(offers) < len(_direct_targets(ctx.plan)):

@@ -1,8 +1,12 @@
 """Closed-form accounting, generators, and the four built-in studies."""
 
+from dataclasses import replace
+
 import pytest
 
 from specnego import (
+    Coordinator,
+    Zone,
     expected_messages,
     experiment_spec,
     generate_scenario,
@@ -36,6 +40,16 @@ class TestExpectedMessages:
 
     def test_cpu_csu_non_aggregated(self):
         assert expected_messages("cpu_csu", False, 15, 15, 5, 3) == 195
+
+    def test_counts_only_su_coalitions_with_members(self):
+        # csu1 is far from both SUs, so it has no members and sends nothing
+        scenario = generate_scenario("cpu_csu", pu_count=2, cpu_count=1, su_groups=(2,))
+        scenario = replace(scenario, csu_coordinators=scenario.csu_coordinators + (
+            Coordinator("csu1", Zone(1e6, 1e6)),))
+        assert sum(map(bool, topology_plan(scenario).csu_membership.values())) == 1
+        assert run(scenario).total_messages == 8 == expected_messages("cpu_csu", True, 2, 2, 1, 1)
+        # with no SU there is no coalition with members: the registrations alone
+        assert expected_messages("cpu_csu", True, 0, 2, 1, 0) == 2
 
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):

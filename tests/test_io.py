@@ -409,8 +409,9 @@ class TestReportExports:
             timing=TimingConstants(latency=1e308),
         )
         assert validate(scenario) == [
-            "timing: event times may overflow to inf: the latest arrival 1e+308 plus 4 hops "
-            "of latency 1e+308 and the largest delay 10.0, and that delay once more, is not finite"
+            "timing: event times may overflow to inf: the latest arrival 1e+308 plus the "
+            "'no_coalition' chain's delays (0.0, 2.0), each plus latency 1e+308, and the "
+            "completion delay 1.0, is not finite"
         ]
         path = tmp_path / "overflow.json"
         path.write_text(scenario_to_json(scenario), encoding="utf-8")

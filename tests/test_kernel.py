@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from specnego import (
     Coordinator,
     Demand,
+    MembershipOverride,
     Message,
     MessageKind,
     PrimaryUser,
@@ -17,11 +18,15 @@ from specnego import (
     SimulationCapExceeded,
     World,
     Zone,
+    expected_messages,
     generate_scenario,
     run,
+    validate,
 )
 from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent, SimEvent
-from specnego.reports import render_events_jsonl, render_metrics_csv
+from specnego.model import TOPOLOGIES, WIRINGS
+from specnego.protocol import SuPhase
+from specnego.reports import render_allocations_csv, render_events_jsonl, render_metrics_csv
 
 
 def reference_scenario(su_groups=(1,), aggregation=True, seed=1):
@@ -108,6 +113,17 @@ class TestStep:
         world = World(reference_scenario((1,)))
         with pytest.raises(ValueError, match="quiescence"):
             world.report()
+
+    def test_report_checks_the_closed_form(self):
+        # a second registration, counted as sent, so that only the closed
+        # form can tell the total is one message too many
+        world = World(reference_scenario((1,)))
+        offer = world.states["pu000"].offer
+        extra = Message(MessageKind.PARAM_UPDATE, "pu000", offer.cpu_id, offer)
+        heapq.heappush(world._queue, SimEvent(0.0, 999, DELIVER, message=extra))
+        world.sent += 1
+        with pytest.raises(RuntimeError, match="sent 28, delivered 28, closed form 27"):
+            world.run_to_quiescence()
 
 
 class TestRecords:
@@ -237,18 +253,34 @@ zones = st.builds(
     st.floats(min_value=-50, max_value=50),
     st.floats(min_value=-50, max_value=50),
 )
+# A few fixed points, so that agents and coordinators tie on distance.
+some_zones = st.one_of(zones, st.sampled_from([Zone(0, 0), Zone(1, 0), Zone(0, 1)]))
+arrivals = st.sampled_from([0.0, 50.0, 100.0])
+
+
+@st.composite
+def override(draw, members, coordinators):
+    """None, or each member under a drawn coordinator, so some coalitions may be empty."""
+    if not coordinators or not draw(st.booleans()):
+        return None
+    chosen = [draw(st.sampled_from(coordinators)).id for _ in members]
+    return {c.id: tuple(m.id for m, cid in zip(members, chosen) if cid == c.id)
+            for c in coordinators}
 
 
 @st.composite
 def arbitrary_scenarios(draw):
-    topology = draw(st.sampled_from(["no_coalition", "cpu_only", "cpu_csu"]))
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    wiring = WIRINGS[topology]
     n_pu = draw(st.integers(min_value=0 if topology == "no_coalition" else 1, max_value=6))
     n_su = draw(st.integers(min_value=0, max_value=6))
+    no_capacity = draw(st.booleans())
+    same_arrival = draw(st.one_of(st.none(), arrivals))  # every SU at once
     pus = tuple(
         PrimaryUser(
             f"pu{j}",
-            draw(zones),
-            draw(st.integers(min_value=0, max_value=5)),
+            draw(some_zones),
+            0 if no_capacity else draw(st.integers(min_value=0, max_value=5)),
             draw(st.floats(min_value=1.0, max_value=20.0)),
             draw(st.floats(min_value=1.0, max_value=100.0)),
         )
@@ -257,22 +289,22 @@ def arbitrary_scenarios(draw):
     sus = tuple(
         SecondaryUser(
             f"su{i}",
-            draw(zones),
+            draw(some_zones),
             draw(st.integers(min_value=1, max_value=4)),
-            draw(st.sampled_from([0.0, 50.0, 100.0])),
+            draw(arrivals) if same_arrival is None else same_arrival,
         )
         for i in range(n_su)
     )
     cpu_coordinators = csu_coordinators = ()
-    if topology in ("cpu_only", "cpu_csu"):
+    if wiring.pu_coalitions:
         cpu_coordinators = tuple(
-            Coordinator(f"cpu{k}", draw(zones))
+            Coordinator(f"cpu{k}", draw(some_zones))
             for k in range(draw(st.integers(min_value=1, max_value=3)))
         )
-    if topology == "cpu_csu":
+    if wiring.su_coalitions:
         csu_coordinators = tuple(
-            Coordinator(f"csu{k}", draw(zones))
-            for k in range(draw(st.integers(min_value=1, max_value=2)))
+            Coordinator(f"csu{k}", draw(some_zones))
+            for k in range(draw(st.integers(min_value=1, max_value=3)))
         )
     return Scenario(
         topology=topology,
@@ -281,21 +313,38 @@ def arbitrary_scenarios(draw):
         cpu_coordinators=cpu_coordinators,
         csu_coordinators=csu_coordinators,
         aggregation=draw(st.booleans()),
+        memberships=MembershipOverride(
+            cpu=draw(override(pus, cpu_coordinators)),
+            csu=draw(override(sus, csu_coordinators)),
+        ),
     )
+
+
+def exports(report):
+    return render_metrics_csv(report), render_events_jsonl(report), render_allocations_csv(report)
 
 
 @given(arbitrary_scenarios())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_property_valid_scenarios_run_to_quiescence(scenario):
-    from specnego import validate
-
     assert validate(scenario) == []
-    report = run(scenario)
-    # conservation, terminal coverage, capacity sanity
+    world = World(scenario)
+    report = world.run_to_quiescence()
+    # conservation, the closed form, terminal coverage, capacity sanity
     assert report.total_messages == len(
         [e for e in report.event_log if e.kind == DELIVER]
     )
+    plan = world.plan
+    assert report.total_messages == expected_messages(
+        scenario.topology, scenario.aggregation, len(scenario.sus), len(scenario.pus),
+        len(plan.cpu_ids), sum(1 for members in plan.csu_membership.values() if members),
+    )
+    assert report.protocol_violations == []
     assert set(report.per_su_response) == {su.id for su in scenario.sus}
+    assert all(
+        world.states[su.id].phase in (SuPhase.SERVED, SuPhase.UNSERVED) for su in scenario.sus
+    )
     assert all(v >= 0 for v in report.final_capacities.values())
     times = [e.time for e in report.event_log]
     assert times == sorted(times)
+    assert exports(run(scenario)) == exports(report)

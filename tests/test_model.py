@@ -20,7 +20,7 @@ from specnego import (
     run,
     validate,
 )
-from specnego.model import TOPOLOGIES
+from specnego.model import TOPOLOGIES, WIRINGS
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -33,6 +33,17 @@ def small_scenario(**overrides) -> Scenario:
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+def wired_scenario(topology: str, **overrides) -> Scenario:
+    """``small_scenario`` for a topology, with only the coordinators it admits."""
+    wiring, base = WIRINGS[topology], small_scenario()
+    return small_scenario(
+        topology=topology,
+        cpu_coordinators=base.cpu_coordinators if wiring.pu_coalitions else (),
+        csu_coordinators=base.csu_coordinators if wiring.su_coalitions else (),
+        **overrides,
+    )
 
 
 class TestValidate:
@@ -191,18 +202,39 @@ class TestTimeBound:
         assert all(math.isfinite(event.time) for event in report.event_log)
         assert math.isfinite(report.quiescent_at)
 
-    def test_bound_is_tight_on_the_four_hop_chain(self, monkeypatch):
-        # cpu_csu reaches an SU in four hops (SuRequest, Cfp, CpuOffer,
-        # SuReply); with zero delays a run's last time is the bound itself
-        latency = sys.float_info.max / 4.5
+    @pytest.mark.parametrize("topology, hops, last", [
+        ("no_coalition", 2, "CpuOffer"), ("cpu_only", 2, "CpuOffer"), ("cpu_csu", 4, "SuReply"),
+    ])
+    def test_bound_is_tight_on_the_last_hop(self, topology, hops, last, monkeypatch):
+        # An SU's chain is CfpSingle and the reply, or SuRequest, Cfp, the
+        # reply and SuReply with SU-coalitions; with zero delays a run's last
+        # time is the bound itself, so one latency more overflows the last hop
+        latency = sys.float_info.max / (hops + 0.5)
         timing = TimingConstants(latency=latency, agg_per_demand=0.0, cpu_select=0.0,
                                  rank_per_offer=0.0, pu_reply=0.0)
-        assert validate(small_scenario(timing=timing)) == []
-        late = small_scenario(sus=(SecondaryUser("su0", Zone(1, 10), 2, latency),), timing=timing)
+        assert validate(wired_scenario(topology, timing=timing)) == []
+        late = wired_scenario(topology, timing=timing,
+                              sus=(SecondaryUser("su0", Zone(1, 10), 2, latency),))
         assert [p.split(":")[0] for p in validate(late)] == ["timing"]
         monkeypatch.setattr("specnego.kernel.validate", lambda scenario: [])
-        with pytest.raises(RuntimeError, match="delivery time overflows to inf: SuReply"):
+        with pytest.raises(RuntimeError, match=f"delivery time overflows to inf: {last}"):
             run(late)
+
+    @pytest.mark.parametrize("topology, unused, quiescent_at", [
+        ("no_coalition", "agg_per_demand", 22.0),
+        ("cpu_only", "pu_reply", 22.0),
+        ("cpu_csu", "pu_reply", 53.0),
+    ])
+    def test_bound_charges_only_the_wirings_delays(self, topology, unused, quiescent_at):
+        # a delay the wiring never charges may be as large as it likes
+        scenario = wired_scenario(
+            topology,
+            sus=(SecondaryUser("su0", Zone(1, 10), 2, 0.0),
+                 SecondaryUser("su1", Zone(2, 10), 1, 0.0)),
+            timing=TimingConstants(**{unused: 1e308}),
+        )
+        assert validate(scenario) == []
+        assert run(scenario).quiescent_at == quiescent_at
 
     def test_no_sus_nothing_to_bound(self):
         scenario = small_scenario(sus=(), csu_coordinators=(),
