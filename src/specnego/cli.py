@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 2 parse errors (bad JSON/CSV/arguments), 3 scenario
 validation failures, 4 runtime errors. The environment variable
-``SPECNEGO_EVENT_CAP`` overrides the kernel's event cap.
+``SPECNEGO_EVENT_CAP``, a positive integer, overrides the kernel's event cap.
 """
 
 from __future__ import annotations
@@ -37,14 +37,20 @@ EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
 
-def _sweep(text: str) -> tuple[int, ...]:
+def _integer(text: str, what: str, least: int) -> int:
+    """``text`` as an integer of at least ``least`` (0 or 1), else an ArgumentTypeError."""
     try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad sweep {text!r}: {exc}") from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"sweep values must be >= 1, got {text!r}")
-    return values
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        sign = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"{what} must be a {sign} integer, got {text!r}")
+    return value
+
+
+def _sweep(text: str) -> tuple[int, ...]:
+    return tuple(_integer(part, "sweep value", 1) for part in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a built-in study")
     p_exp.add_argument("id", choices=EXPERIMENT_IDS)
     p_exp.add_argument("--out", type=Path, default=Path("./out"))
-    p_exp.add_argument("--seed", type=int, default=1)
+    p_exp.add_argument("--seed", type=lambda text: _integer(text, "seed", 0), default=1)
     p_exp.add_argument("--su-sweep", type=_sweep, default=None,
                        help="comma-separated SU counts (exp_iv only)")
     p_exp.add_argument("--no-plots", action="store_true")
@@ -80,9 +86,9 @@ def _event_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioParseError(f"SPECNEGO_EVENT_CAP must be an integer, got {raw!r}")
+        return _integer(raw, "SPECNEGO_EVENT_CAP", 1)
+    except argparse.ArgumentTypeError as exc:
+        raise ScenarioParseError(str(exc)) from exc
 
 
 def _load_scenario(path: Path):

@@ -11,11 +11,12 @@ Four agent kinds exchange seven message kinds across three wiring modes:
   proposals per PU-coalition), rank the returned offers, assign them to
   demands, and reply to their members.
 
-Every SU-side TOPSIS decision ends an *ask*: a call for proposals to a fixed
-set of agents (an SU's own to every PU or PU-coalition, an SU-coalition's per
-demand or per aggregated batch). The last reply *settles* it: the real offers
-are ranked and granted to the ask's demands in order, at ``rank_per_offer``
-per offer ranked.
+Every SU-side TOPSIS decision ends one :class:`Ask`: a call for proposals to
+a fixed set of agents, made by an SU for itself (to every PU or PU-coalition)
+or by its SU-coalition (per demand or per aggregated batch). Each reply is
+added in O(1); the last one *settles* the ask: its real offers are ranked in
+reply order and granted to its demands in order, at ``rank_per_offer`` per
+offer ranked.
 
 Handlers are pure: given the same (state, message, time, context) they
 return the same new state and outgoing messages. All world mutation (live
@@ -39,6 +40,7 @@ __all__ = [
     "CoordinatorReply",
     "Message",
     "Allocation",
+    "Ask",
     "SuPhase",
     "CsuPhase",
     "PrimaryUserState",
@@ -143,6 +145,17 @@ class CsuPhase(Enum):
     DONE = "Done"
 
 
+@dataclass(frozen=True, slots=True)
+class Ask:
+    """One open call for proposals; its last reply settles it in :func:`_answer`."""
+
+    demands: tuple[Demand, ...]  # granted in this order
+    due: int  # replies still due
+    # The real offers so far as a persistent chain (latest, earlier) ending in
+    # (): a reply is added in O(1), sharing the earlier ones.
+    offers: tuple = ()
+
+
 @dataclass(frozen=True)
 class PrimaryUserState:
     agent_id: str
@@ -155,7 +168,7 @@ class SecondaryUserState:
     channels_requested: int
     arrival_time: float
     phase: SuPhase = SuPhase.IDLE
-    offers: tuple[Offer | None, ...] = ()  # one per reply so far; None for no offer
+    ask: Ask | None = None  # the SU's own open ask; None when its SU-coalition asks
     completed_at: float | None = None
 
 
@@ -173,13 +186,9 @@ class SuCoalitionState:
     demands: tuple[tuple[float, Demand], ...] = ()
     # Members whose request has not arrived yet; None stands for all of them.
     awaited: frozenset[str] | None = None
-    # Open asks keyed by demand_ref (None for the aggregated batch): the
-    # demands the ask settles and the offers replied so far. A settled ask
-    # is dropped, so a late or unknown reply finds no entry.
-    asks: dict[str | None, tuple[tuple[Demand, ...], tuple[Offer | None, ...]]] = field(
-        default_factory=dict
-    )
-    replied: int = 0  # members answered so far
+    # Open asks keyed by demand_ref (None for the aggregated batch). A settled
+    # ask is dropped, so a late or unknown reply finds no entry.
+    asks: dict[str | None, Ask] = field(default_factory=dict)
 
 
 AgentState = Union[PrimaryUserState, SecondaryUserState, PuCoalitionState, SuCoalitionState]
@@ -295,28 +304,34 @@ def _violation(state: AgentState, agent_id: str, detail: str, now: float) -> Han
     return HandlerResult(state=state, violation=f"t={now:g}: {detail} at {agent_id!r}")
 
 
-def _settle(
-    offers: Sequence[Offer | None], demands: Sequence[Demand], ctx: HandlerContext
-) -> tuple[list[Allocation], float]:
-    """Rank an ask's real offers and grant them to its demands; returns (allocations, delay)."""
-    real = [o for o in offers if o is not None]
+def _answer(
+    ask: Ask, offer: Offer | None, ctx: HandlerContext
+) -> tuple[Ask | None, list[Allocation], float]:
+    """Add a reply (None for no offer): returns (still-open ask, allocations, delay).
+
+    The last reply settles the ask (returned as None): its real offers are
+    ranked in reply order, so of equal offers the earlier reply wins, and
+    granted to its demands after ``rank_per_offer`` per offer ranked.
+    """
+    offers = ask.offers if offer is None else (offer, ask.offers)
+    if ask.due > 1:
+        return Ask(ask.demands, ask.due - 1, offers), [], 0.0
+    real = []
+    while offers:
+        latest, offers = offers
+        real.append(latest)
     allocations, _unserved = assign_offers(
-        rank_offers(real, ctx.weights),
-        [(d.su_id, d.channels_requested) for d in demands],
+        rank_offers(real[::-1], ctx.weights),
+        [(d.su_id, d.channels_requested) for d in ask.demands],
         ctx.capacities,
     )
-    return allocations, ctx.timing.rank_per_offer * len(real)
+    return None, allocations, ctx.timing.rank_per_offer * len(real)
 
 
 def _quote(me: str, to: str, offer: Offer | None, ref: str | None) -> Message:
     """A reply to a call for proposals: the offer, or no offer when it is None."""
     kind = MessageKind.CPU_NO_OFFER if offer is None else MessageKind.CPU_OFFER
     return Message(kind, me, to, CoordinatorReply(offer, ref))
-
-
-def _direct_targets(plan: TopologyPlan) -> tuple[str, ...]:
-    """The agents an SU asks itself: every PU-coalition where PUs form them, else every PU."""
-    return plan.cpu_ids if WIRINGS[plan.topology].pu_coalitions else plan.pu_ids
 
 
 def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerResult:
@@ -328,19 +343,19 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
 
     me = state.agent_id
     demand = Demand(su_id=me, channels_requested=state.channels_requested)
-    if WIRINGS[ctx.plan.topology].su_coalitions:
-        target = ctx.plan.csu_of_su[me]
-        sends = [(Message(MessageKind.SU_REQUEST, me, target, demand), 0.0)]
-    else:
-        sends = [
-            (Message(MessageKind.CFP_SINGLE, me, to, demand), 0.0)
-            for to in _direct_targets(ctx.plan)
-        ]
-    if not sends:
+    wiring = WIRINGS[ctx.plan.topology]
+    if wiring.su_coalitions:
+        # The SU-coalition asks for this SU and answers it with an SuReply.
+        request = Message(MessageKind.SU_REQUEST, me, ctx.plan.csu_of_su[me], demand)
+        return HandlerResult(state=replace(state, phase=SuPhase.WAITING), sends=[(request, 0.0)])
+    # The SU asks itself: every PU-coalition where PUs form them, else every PU.
+    targets = ctx.plan.cpu_ids if wiring.pu_coalitions else ctx.plan.pu_ids
+    if not targets:
         # nobody to query (e.g. no PUs exist): the request dies immediately
-        new_state = replace(state, phase=SuPhase.UNSERVED, completed_at=now)
-        return HandlerResult(state=new_state)
-    return HandlerResult(state=replace(state, phase=SuPhase.WAITING), sends=sends)
+        return HandlerResult(state=replace(state, phase=SuPhase.UNSERVED, completed_at=now))
+    sends = [(Message(MessageKind.CFP_SINGLE, me, to, demand), 0.0) for to in targets]
+    ask = Ask((demand,), len(targets))
+    return HandlerResult(state=replace(state, phase=SuPhase.WAITING, ask=ask), sends=sends)
 
 
 def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
@@ -414,14 +429,14 @@ def _handle_csu(
         if not ctx.plan.aggregation:
             # Ask every PU-coalition about this one demand.
             kind, payload, delay = MessageKind.CFP_SINGLE, demand, ctx.timing.agg_per_demand
-            asks = {**state.asks, demand.su_id: ((demand,), ())}
+            asks = {**state.asks, demand.su_id: Ask((demand,), len(ctx.plan.cpu_ids))}
         elif complete:
             # Last expected demand: ask every PU-coalition about the whole
             # batch in one CFP, paying the per-demand aggregation cost.
             by_arrival = sorted(demands, key=lambda td: (td[0], td[1].su_id))
             kind, payload = MessageKind.CFP, tuple(d for _, d in by_arrival)
             delay = ctx.timing.agg_per_demand * len(state.member_ids)
-            asks = {None: (payload, ())}
+            asks = {None: Ask(payload, len(ctx.plan.cpu_ids))}
         else:
             return HandlerResult(state=replace(state, demands=demands, awaited=awaited))
         sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
@@ -435,22 +450,20 @@ def _handle_csu(
     key = None if ctx.plan.aggregation else reply.demand_ref
     if key not in state.asks:
         return _violation(state, me, f"{msg.kind.value} for ask {key!r}, which is not open", now)
-    demands, offers = state.asks[key]
-    offers += (reply.offer,)
-    if len(offers) < len(ctx.plan.cpu_ids):
-        return HandlerResult(state=replace(state, asks={**state.asks, key: (demands, offers)}))
-    # Every coordinator has answered: settle the ask and answer each member
-    # it concerns.
-    allocations, delay = _settle(offers, demands, ctx)
+    ask = state.asks[key]
+    still_open, allocations, delay = _answer(ask, reply.offer, ctx)
+    if still_open is not None:
+        return HandlerResult(state=replace(state, asks={**state.asks, key: still_open}))
+    # Every coordinator has answered: answer each member the ask concerns.
     granted = {a.su_id: a.offer for a in allocations}
     sends = [
         (Message(MessageKind.SU_REPLY, me, d.su_id, granted.get(d.su_id)), delay)
-        for d in demands
+        for d in ask.demands
     ]
-    asks = {k: ask for k, ask in state.asks.items() if k != key}
-    replied = state.replied + len(demands)
-    phase = CsuPhase.DONE if replied >= len(state.member_ids) else state.phase
-    new_state = replace(state, asks=asks, replied=replied, phase=phase)
+    asks = {k: a for k, a in state.asks.items() if k != key}
+    # Done once every member has asked and no ask is open.
+    phase = CsuPhase.DONE if state.phase is CsuPhase.AWAITING_OFFERS and not asks else state.phase
+    new_state = replace(state, asks=asks, phase=phase)
     return HandlerResult(state=new_state, sends=sends, allocations=allocations)
 
 
@@ -458,46 +471,24 @@ def _handle_su(
     state: SecondaryUserState, msg: Message, now: float, ctx: HandlerContext
 ) -> HandlerResult:
     me = state.agent_id
-    if state.phase in (SuPhase.SERVED, SuPhase.UNSERVED):
-        return _violation(
-            state, me, f"{msg.kind.value} in terminal phase {state.phase.value}", now
-        )
     if state.phase is not SuPhase.WAITING:
-        return _violation(state, me, f"{msg.kind.value} in phase {state.phase.value}", now)
+        where = "phase" if state.phase is SuPhase.IDLE else "terminal phase"
+        return _violation(state, me, f"{msg.kind.value} in {where} {state.phase.value}", now)
 
-    if msg.kind is MessageKind.SU_REPLY:
-        served = msg.payload is not None
-        new_state = replace(
-            state,
-            phase=SuPhase.SERVED if served else SuPhase.UNSERVED,
-            completed_at=now,
-        )
-        return HandlerResult(state=new_state)
-
-    if (
-        msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER)
-        and not WIRINGS[ctx.plan.topology].su_coalitions  # else the SU-coalition asks
-    ):
-        offers = state.offers + (msg.payload.offer,)
-        if len(offers) < len(_direct_targets(ctx.plan)):
-            # The constructor, not dataclasses.replace (twice its cost): this
-            # runs once per reply.
+    ask = state.ask
+    if ask is None and msg.kind is MessageKind.SU_REPLY:
+        # The SU-coalition asked for this SU: its reply is the grant or None.
+        allocations, served, completed_at = [], msg.payload is not None, now
+    elif ask is not None and msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
+        ask, allocations, delay = _answer(ask, msg.payload.offer, ctx)
+        if ask is not None:
+            # Replies still due; the constructor costs half of replace() per reply.
             return HandlerResult(state=SecondaryUserState(
-                agent_id=me,
-                channels_requested=state.channels_requested,
-                arrival_time=state.arrival_time,
-                phase=state.phase,
-                offers=offers,
-                completed_at=state.completed_at,
+                me, state.channels_requested, state.arrival_time, state.phase, ask
             ))
-        # Final reply: settle the SU's own ask.
-        allocations, delay = _settle(offers, [Demand(me, state.channels_requested)], ctx)
-        new_state = replace(
-            state,
-            offers=offers,
-            phase=SuPhase.SERVED if allocations else SuPhase.UNSERVED,
-            completed_at=now + delay,
-        )
-        return HandlerResult(state=new_state, allocations=allocations)
-
-    return _violation(state, me, f"unexpected {msg.kind.value}", now)
+        served, completed_at = bool(allocations), now + delay
+    else:
+        return _violation(state, me, f"unexpected {msg.kind.value}", now)
+    phase = SuPhase.SERVED if served else SuPhase.UNSERVED
+    new_state = replace(state, phase=phase, ask=None, completed_at=completed_at)
+    return HandlerResult(state=new_state, allocations=allocations)

@@ -77,9 +77,12 @@ class TestRunCommand:
         assert "event cap 3" in capsys.readouterr().err
 
     def test_bad_event_cap_env(self, scenario_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPECNEGO_EVENT_CAP", "plenty")
-        code = main(["run", str(scenario_file), "--out", str(tmp_path / "o")])
-        assert code == EXIT_PARSE
+        for cap in ("plenty", "0", "-3"):
+            monkeypatch.setenv("SPECNEGO_EVENT_CAP", cap)
+            code = main(["run", str(scenario_file), "--out", str(tmp_path / "o")])
+            assert code == EXIT_PARSE, cap
+            assert "SPECNEGO_EVENT_CAP must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RSS from procfs")
     def test_large_run_streams_events_in_bounded_memory(self, tmp_path):
@@ -197,6 +200,13 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "exp_iv", "--su-sweep", "5,ten"])
         assert excinfo.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize("seed", ["-1", "one"])
+    def test_bad_seed_rejected_by_argparse(self, seed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "exp_i", "--seed", seed])
+        assert excinfo.value.code == EXIT_PARSE
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_unknown_id_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -18,6 +18,7 @@ from specnego import (
 )
 from specnego.coalitions import ParamRegistry, register_params
 from specnego.protocol import (
+    Ask,
     CoordinatorReply,
     CsuPhase,
     HandlerContext,
@@ -171,7 +172,8 @@ class TestSuHandlers:
         result = handle_wake(state, 0.0, ctx)
         assert [m.recipient for m, _ in result.sends] == ["p0", "p1", "p2"]
         assert all(m.kind is MessageKind.CFP_SINGLE for m, _ in result.sends)
-        assert result.state.phase is SuPhase.WAITING and result.state.offers == ()
+        assert result.state.phase is SuPhase.WAITING
+        assert result.state.ask == Ask((Demand("su0", 2),), due=3)
 
     def test_reply_in_terminal_phase_is_violation(self):
         state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.SERVED)
@@ -190,9 +192,9 @@ class TestSuHandlers:
     def test_local_ranking_after_last_reply(self):
         # no-coalition SU collects two offers, ranks them after the second,
         # and completes rank_per_offer * offers later
-        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a", "b"),
                        capacities={"a": 4, "b": 4})
+        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
         first = Message(MessageKind.CPU_OFFER, "a", "su0",
                         CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, first, 20.0, ctx)
@@ -200,25 +202,27 @@ class TestSuHandlers:
         second = Message(MessageKind.CPU_OFFER, "b", "su0",
                          CoordinatorReply(make_offer("b", cpu_id="b"), "su0"))
         result = handle(result.state, second, 22.0, ctx)
-        assert result.state.phase is SuPhase.SERVED
+        assert result.state.phase is SuPhase.SERVED and result.state.ask is None
         assert result.state.completed_at == 22.0 + 1.0 * 2
         assert len(result.allocations) == 1
 
     def test_unserved_when_no_feasible_offer(self):
-        state = SecondaryUserState("su0", 9, 0.0, phase=SuPhase.WAITING)
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a",),
                        capacities={"a": 4})
+        state = handle_wake(SecondaryUserState("su0", 9, 0.0), 0.0, ctx).state
         message = Message(MessageKind.CPU_OFFER, "a", "su0",
                           CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, message, 20.0, ctx)
         assert result.state.phase is SuPhase.UNSERVED and result.allocations == []
+        assert result.state.ask is None
 
     def test_no_offer_counts_as_a_reply_but_is_not_ranked(self):
-        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
         ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0", "cpu1"), capacities={"a": 4})
+        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
         none = Message(MessageKind.CPU_NO_OFFER, "cpu0", "su0", CoordinatorReply(None, "su0"))
         result = handle(state, none, 20.0, ctx)
         assert result.state.phase is SuPhase.WAITING
+        assert result.state.ask == Ask((Demand("su0", 2),), due=1)  # no offer is kept
         offer = Message(MessageKind.CPU_OFFER, "cpu1", "su0",
                         CoordinatorReply(make_offer("a", cpu_id="cpu1"), "su0"))
         result = handle(result.state, offer, 21.0, ctx)
@@ -232,6 +236,40 @@ class TestSuHandlers:
         result = handle(state, message, 20.0, make_ctx(capacities={"p0": 4}))
         assert result.violation == "t=20: unexpected CpuOffer at 'su0'"
         assert result.state is state and result.allocations == []
+
+    def test_su_reply_to_an_su_asking_itself_is_violation(self):
+        ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0",))
+        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
+        message = Message(MessageKind.SU_REPLY, "cpu0", "su0", make_offer("p0"))
+        result = handle(state, message, 20.0, ctx)
+        assert result.violation == "t=20: unexpected SuReply at 'su0'"
+        assert result.state is state and result.state.phase is SuPhase.WAITING
+
+
+@pytest.mark.parametrize("asker", ["su", "csu"])
+def test_equal_offers_ranked_in_reply_order(asker):
+    # Equal terms from b, then no offer, then a: the earlier reply wins the tie,
+    # whether the SU asks itself or its SU-coalition asks for that one demand.
+    cpu_ids = ("cpu0", "cpu1", "cpu2")
+    if asker == "su":
+        ctx = make_ctx(topology="cpu_only", cpu_ids=cpu_ids, capacities={"a": 4, "b": 4})
+        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
+    else:
+        ctx = make_ctx(aggregation=False, cpu_ids=cpu_ids, capacities={"a": 4, "b": 4})
+        request = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
+        state = handle(SuCoalitionState("csu0", ("su0",)), request, 10.0, ctx).state
+    me = state.agent_id
+    for cpu, offer in zip(cpu_ids, (make_offer("b"), None, make_offer("a"))):
+        kind = MessageKind.CPU_NO_OFFER if offer is None else MessageKind.CPU_OFFER
+        result = handle(state, Message(kind, cpu, me, CoordinatorReply(offer, "su0")), 30.0, ctx)
+        state = result.state
+    [allocation] = result.allocations
+    assert (allocation.su_id, allocation.offer.pu_id) == ("su0", "b")
+    if asker == "su":
+        assert state.phase is SuPhase.SERVED and state.ask is None
+    else:
+        assert state.phase is CsuPhase.DONE and state.asks == {}
+        assert [(m.recipient, m.payload) for m, _ in result.sends] == [("su0", make_offer("b"))]
 
 
 class TestCpuHandlers:
@@ -343,7 +381,7 @@ class TestCsuHandlers:
             tuple(f"su{i}" for i in range(3)),
             phase=CsuPhase.AWAITING_OFFERS,
             demands=demands,
-            asks={None: (tuple(d for _, d in demands), ())},
+            asks={None: Ask(tuple(d for _, d in demands), due=5)},
         )
         for k in range(4):
             message = Message(
@@ -414,8 +452,7 @@ class TestCsuHandlers:
             state = result.state
             answered += [(m.recipient, m.payload is not None) for m, _ in result.sends]
         assert answered == [("su1", True), ("su0", True)]
-        assert state.phase is CsuPhase.DONE and state.replied == 2
-        assert state.asks == {}
+        assert state.phase is CsuPhase.DONE and state.asks == {}
         late = handle(state, reply, 140.0, ctx)
         assert "terminal phase Done" in late.violation
 
@@ -444,11 +481,11 @@ class TestCsuHandlers:
         for cpu in ("cpu0", "cpu1"):
             result = handle(state, self.offer_for("su0", cpu), 120.0, ctx)
             state = result.state
-        assert len(result.allocations) == 1 and state.replied == 1
+        assert len(result.allocations) == 1 and set(state.asks) == {"su1"}
         late = handle(state, self.offer_for("su0", "cpu1"), 121.0, ctx)
         assert late.violation == "t=121: CpuOffer for ask 'su0', which is not open at 'csu0'"
         assert late.allocations == [] and late.sends == []
-        assert late.state is state and late.state.replied == 1
+        assert late.state is state
         assert late.state.phase is CsuPhase.AWAITING_OFFERS
 
     def test_batch_reply_before_the_batch_is_violation(self):
