@@ -5,7 +5,7 @@ primary-user and secondary-user coalitions in a cognitive-radio network,
 built around a reusable TOPSIS multi-criteria decision engine.
 """
 
-from .coalitions import ParamRegistry, best_offer, form_coalitions, register_params
+from .coalitions import ParamRegistry, best_offer, form_coalitions, rank_offers, register_params
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentSpec,
@@ -39,7 +39,6 @@ from .protocol import (
     assign_offers,
     handle,
     handle_wake,
-    rank_offers,
     topology_plan,
 )
 from .topsis import (

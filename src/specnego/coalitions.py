@@ -1,11 +1,12 @@
-"""Geographic coalition formation and the coordinator-side parameter registry.
+"""Coalition formation, the PU-coalition's registry, and the one ranking of offers.
 
 Coalitions are formed once per run: each agent joins the coordinator at
 minimal Euclidean distance (ties to the lexicographically smaller
-coordinator id), unless an explicit override map is supplied. Each
-PU-coalition coordinator then maintains a live registry of its members'
-advertised parameters and answers calls for proposals with its TOPSIS-best
-member offer.
+coordinator id), unless an explicit override map is supplied. A
+PU-coalition coordinator's whole state is its :class:`ParamRegistry` of
+member offers, and it answers a call for proposals with :func:`best_offer`,
+the head of :func:`rank_offers`. That TOPSIS ranking over (channels, price,
+alloc_time) is the one ranking of offers, for coordinators and SUs alike.
 
 The nearest coordinator is found by a pruned sweep rather than by scoring
 every pair: coordinators are sorted by x once per call, and each agent walks
@@ -33,6 +34,7 @@ __all__ = [
     "form_coalitions",
     "register_params",
     "best_offer",
+    "rank_offers",
 ]
 
 # coordinator id -> member ids, sorted ascending
@@ -98,7 +100,7 @@ def _check_finite(role: str, agent_id: str, zone: Zone) -> None:
 
 @dataclass(frozen=True)
 class ParamRegistry:
-    """A PU-coalition coordinator's live table of member offers.
+    """A PU-coalition coordinator's whole state: its live table of member offers.
 
     Only declared members may register; entries hold each member's latest
     offer (no history). An instance is one registry version:
@@ -128,8 +130,22 @@ def register_params(registry: ParamRegistry, offer: Offer) -> ParamRegistry:
     return replace(registry, entries={**registry.entries, offer.pu_id: offer})
 
 
+def rank_offers(offers: Sequence[Offer], weights: Sequence[float]) -> list[Offer]:
+    """Order offers best-first by TOPSIS closeness over (channels, price, alloc_time)."""
+    if not offers:
+        return []
+    matrix = DecisionMatrix(
+        alternatives=tuple(o.pu_id for o in offers),
+        criteria=CRITERION_LABELS,
+        scores=tuple((o.channels, o.price, o.alloc_time) for o in offers),
+        weights=tuple(weights),
+        senses=CRITERIA_SENSES,
+    )
+    return [offers[i] for i in topsis(matrix).ranking]
+
+
 def best_offer(registry: ParamRegistry, weights: Sequence[float]) -> Offer | None:
-    """TOPSIS-select the best registered member offer and return it.
+    """The head of :func:`rank_offers` over the registered member offers, in member order.
 
     Members advertising zero channels are excluded before ranking (an
     unusable offer must not win on price or allocation time). Returns None
@@ -138,23 +154,10 @@ def best_offer(registry: ParamRegistry, weights: Sequence[float]) -> Offer | Non
     """
     key = tuple(weights)
     if key not in registry._best:
-        registry._best[key] = _select_offer(registry, key)
+        candidates = [
+            offer
+            for pu_id in registry.members
+            if (offer := registry.entries.get(pu_id)) is not None and offer.channels > 0
+        ]
+        registry._best[key] = rank_offers(candidates, key)[0] if candidates else None
     return registry._best[key]
-
-
-def _select_offer(registry: ParamRegistry, weights: tuple[float, ...]) -> Offer | None:
-    candidates = [
-        offer
-        for pu_id in registry.members
-        if (offer := registry.entries.get(pu_id)) is not None and offer.channels > 0
-    ]
-    if not candidates:
-        return None
-    matrix = DecisionMatrix(
-        alternatives=tuple(o.pu_id for o in candidates),
-        criteria=CRITERION_LABELS,
-        scores=tuple((o.channels, o.price, o.alloc_time) for o in candidates),
-        weights=weights,
-        senses=CRITERIA_SENSES,
-    )
-    return candidates[topsis(matrix).ranking[0]]

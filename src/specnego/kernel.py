@@ -31,7 +31,6 @@ from .protocol import (
     Message,
     MessageKind,
     PrimaryUserState,
-    PuCoalitionState,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -232,8 +231,7 @@ class World:
             pu_id: PrimaryUserState(pu_id, offer) for pu_id, offer in offers.items()
         }
         for cpu_id, members in self.plan.cpu_membership.items():
-            registry = ParamRegistry(coordinator_id=cpu_id, members=tuple(members))
-            self.states[cpu_id] = PuCoalitionState(cpu_id, registry)
+            self.states[cpu_id] = ParamRegistry(cpu_id, tuple(members))
         for csu_id, members in self.plan.csu_membership.items():
             self.states[csu_id] = SuCoalitionState(csu_id, tuple(members))
         for su in scenario.sus:
@@ -355,9 +353,9 @@ class World:
         if arrivals and self._last_completion is not None:
             run_response = self._last_completion - min(arrivals)
         registries = {
-            agent_id: dict(state.registry.entries)
+            agent_id: dict(state.entries)
             for agent_id, state in sorted(self.states.items())
-            if isinstance(state, PuCoalitionState)
+            if isinstance(state, ParamRegistry)
         }
         per_su = {su.id: self.per_su_response.get(su.id) for su in self.scenario.sus}
         return RunReport(

@@ -11,12 +11,16 @@ Four agent kinds exchange seven message kinds across three wiring modes:
   proposals per PU-coalition), rank the returned offers, assign them to
   demands, and reply to their members.
 
+A PU-coalition coordinator's state is its ``ParamRegistry``. An SU-coalition
+takes each member's request in O(1): a bitmask of the members that have
+asked and, when aggregating, a chain of demands flattened once per batch.
+
 Every SU-side TOPSIS decision ends one :class:`Ask`: a call for proposals to
 a fixed set of agents, made by an SU for itself (to every PU or PU-coalition)
 or by its SU-coalition (per demand or per aggregated batch). Each reply is
 added in O(1); the last one *settles* the ask: its real offers are ranked in
-reply order and granted to its demands in order, at ``rank_per_offer`` per
-offer ranked.
+reply order by ``rank_offers`` and granted to its demands in order, at
+``rank_per_offer`` per offer ranked.
 
 Handlers are pure: given the same (state, message, time, context) they
 return the same new state and outgoing messages. All world mutation (live
@@ -26,13 +30,18 @@ PU capacities, metric counters) is applied by the kernel from the returned
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence, Union
 
-from .coalitions import Membership, ParamRegistry, best_offer, form_coalitions, register_params
-from .model import CRITERIA_SENSES, CRITERION_LABELS, WIRINGS, Offer, Scenario, TimingConstants
-from .topsis import DecisionMatrix, topsis
+from .coalitions import (
+    Membership, ParamRegistry, best_offer, form_coalitions, rank_offers, register_params
+)
+from .model import WIRINGS, Offer, Scenario, TimingConstants
+
+# Unused here: perfbench/spans.py rebinds protocol.topsis, so the name must exist.
+from .topsis import topsis  # noqa: F401
 
 __all__ = [
     "MessageKind",
@@ -45,7 +54,6 @@ __all__ = [
     "CsuPhase",
     "PrimaryUserState",
     "SecondaryUserState",
-    "PuCoalitionState",
     "SuCoalitionState",
     "AgentState",
     "TopologyPlan",
@@ -54,7 +62,6 @@ __all__ = [
     "HandlerResult",
     "handle",
     "handle_wake",
-    "rank_offers",
     "assign_offers",
 ]
 
@@ -173,25 +180,20 @@ class SecondaryUserState:
 
 
 @dataclass(frozen=True)
-class PuCoalitionState:
-    agent_id: str
-    registry: ParamRegistry
-
-
-@dataclass(frozen=True)
 class SuCoalitionState:
     agent_id: str
-    member_ids: tuple[str, ...]
+    member_ids: tuple[str, ...]  # sorted, as form_coalitions returns them
     phase: CsuPhase = CsuPhase.COLLECTING
-    demands: tuple[tuple[float, Demand], ...] = ()
-    # Members whose request has not arrived yet; None stands for all of them.
-    awaited: frozenset[str] | None = None
+    asked: int = 0  # bit i is set once member_ids[i] has asked
+    # Aggregated mode: the requests so far as a persistent chain
+    # ((time, demand), earlier) ending in (), dropped once the batch is issued.
+    requests: tuple = ()
     # Open asks keyed by demand_ref (None for the aggregated batch). A settled
     # ask is dropped, so a late or unknown reply finds no entry.
     asks: dict[str | None, Ask] = field(default_factory=dict)
 
 
-AgentState = Union[PrimaryUserState, SecondaryUserState, PuCoalitionState, SuCoalitionState]
+AgentState = Union[PrimaryUserState, SecondaryUserState, ParamRegistry, SuCoalitionState]
 
 
 @dataclass(frozen=True)
@@ -257,20 +259,6 @@ class HandlerResult:
     violation: str | None = None
 
 
-def rank_offers(offers: Sequence[Offer], weights: Sequence[float]) -> list[Offer]:
-    """Order offers best-first by TOPSIS closeness over (channels, price, alloc_time)."""
-    if not offers:
-        return []
-    matrix = DecisionMatrix(
-        alternatives=tuple(o.pu_id for o in offers),
-        criteria=CRITERION_LABELS,
-        scores=tuple((o.channels, o.price, o.alloc_time) for o in offers),
-        weights=tuple(weights),
-        senses=CRITERIA_SENSES,
-    )
-    return [offers[i] for i in topsis(matrix).ranking]
-
-
 def assign_offers(
     offers: Sequence[Offer],
     demands: Sequence[tuple[str, int]],
@@ -304,6 +292,15 @@ def _violation(state: AgentState, agent_id: str, detail: str, now: float) -> Han
     return HandlerResult(state=state, violation=f"t={now:g}: {detail} at {agent_id!r}")
 
 
+def _in_order(chain: tuple) -> list:
+    """The items of a persistent chain (latest, earlier) ending in (), earliest first."""
+    items = []
+    while chain:
+        latest, chain = chain
+        items.append(latest)
+    return items[::-1]
+
+
 def _answer(
     ask: Ask, offer: Offer | None, ctx: HandlerContext
 ) -> tuple[Ask | None, list[Allocation], float]:
@@ -316,12 +313,9 @@ def _answer(
     offers = ask.offers if offer is None else (offer, ask.offers)
     if ask.due > 1:
         return Ask(ask.demands, ask.due - 1, offers), [], 0.0
-    real = []
-    while offers:
-        latest, offers = offers
-        real.append(latest)
+    real = _in_order(offers)
     allocations, _unserved = assign_offers(
-        rank_offers(real[::-1], ctx.weights),
+        rank_offers(real, ctx.weights),
         [(d.su_id, d.channels_requested) for d in ask.demands],
         ctx.capacities,
     )
@@ -362,7 +356,7 @@ def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> 
     """Dispatch one delivered message to the addressed agent's state machine."""
     if isinstance(state, PrimaryUserState):
         return _handle_pu(state, msg, now, ctx)
-    if isinstance(state, PuCoalitionState):
+    if isinstance(state, ParamRegistry):
         return _handle_cpu(state, msg, now, ctx)
     if isinstance(state, SuCoalitionState):
         return _handle_csu(state, msg, now, ctx)
@@ -389,17 +383,19 @@ def _handle_pu(
 
 
 def _handle_cpu(
-    state: PuCoalitionState, msg: Message, now: float, ctx: HandlerContext
+    state: ParamRegistry, msg: Message, now: float, ctx: HandlerContext
 ) -> HandlerResult:
-    me = state.agent_id
+    me = state.coordinator_id
     if msg.kind is MessageKind.PARAM_UPDATE:
         if msg.payload.pu_id != msg.sender:
             return _violation(state, me, f"ParamUpdate from {msg.sender!r} for another PU", now)
-        registry = register_params(state.registry, msg.payload)
-        return HandlerResult(state=replace(state, registry=registry))
+        try:
+            return HandlerResult(state=register_params(state, msg.payload))
+        except ValueError as exc:  # a non-member, or an offer for another coordinator
+            return _violation(state, me, str(exc), now)
     if msg.kind in (MessageKind.CFP, MessageKind.CFP_SINGLE):
         ref = msg.payload.su_id if msg.kind is MessageKind.CFP_SINGLE else None
-        reply = _quote(me, msg.sender, best_offer(state.registry, ctx.weights), ref)
+        reply = _quote(me, msg.sender, best_offer(state, ctx.weights), ref)
         return HandlerResult(state=state, sends=[(reply, ctx.timing.cpu_select)])
     return _violation(state, me, f"unexpected {msg.kind.value}", now)
 
@@ -412,20 +408,17 @@ def _handle_csu(
         return _violation(state, me, f"{msg.kind.value} in terminal phase Done", now)
 
     if msg.kind is MessageKind.SU_REQUEST:
-        if state.phase is not CsuPhase.COLLECTING:
-            return _violation(state, me, f"SuRequest in phase {state.phase.value}", now)
         demand: Demand = msg.payload
-        sender = msg.sender
-        awaited = frozenset(state.member_ids) if state.awaited is None else state.awaited
-        if sender not in awaited:
-            if sender in state.member_ids:
-                return _violation(state, me, f"second SuRequest from {sender!r}", now)
+        sender, members = msg.sender, state.member_ids
+        index = bisect_left(members, sender)
+        if index == len(members) or members[index] != sender:
             return _violation(state, me, f"SuRequest from non-member {sender!r}", now)
+        if state.asked >> index & 1:
+            return _violation(state, me, f"second SuRequest from {sender!r}", now)
         if demand.su_id != sender:
             return _violation(state, me, f"SuRequest from {sender!r} for another SU", now)
-        demands = state.demands + ((now, demand),)
-        awaited = awaited - {sender}
-        complete = not awaited
+        asked = state.asked | 1 << index
+        complete = asked == (1 << len(members)) - 1
         if not ctx.plan.aggregation:
             # Ask every PU-coalition about this one demand.
             kind, payload, delay = MessageKind.CFP_SINGLE, demand, ctx.timing.agg_per_demand
@@ -433,15 +426,17 @@ def _handle_csu(
         elif complete:
             # Last expected demand: ask every PU-coalition about the whole
             # batch in one CFP, paying the per-demand aggregation cost.
-            by_arrival = sorted(demands, key=lambda td: (td[0], td[1].su_id))
+            requests = _in_order(((now, demand), state.requests))
+            by_arrival = sorted(requests, key=lambda td: (td[0], td[1].su_id))
             kind, payload = MessageKind.CFP, tuple(d for _, d in by_arrival)
-            delay = ctx.timing.agg_per_demand * len(state.member_ids)
+            delay = ctx.timing.agg_per_demand * len(members)
             asks = {None: Ask(payload, len(ctx.plan.cpu_ids))}
         else:
-            return HandlerResult(state=replace(state, demands=demands, awaited=awaited))
+            requests = ((now, demand), state.requests)
+            return HandlerResult(state=replace(state, asked=asked, requests=requests))
         sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
         phase = CsuPhase.AWAITING_OFFERS if complete else CsuPhase.COLLECTING
-        new_state = replace(state, demands=demands, awaited=awaited, asks=asks, phase=phase)
+        new_state = replace(state, asked=asked, requests=(), asks=asks, phase=phase)
         return HandlerResult(state=new_state, sends=sends)
 
     if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):

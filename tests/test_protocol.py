@@ -23,7 +23,6 @@ from specnego.protocol import (
     CsuPhase,
     HandlerContext,
     PrimaryUserState,
-    PuCoalitionState,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -274,26 +273,36 @@ def test_equal_offers_ranked_in_reply_order(asker):
 
 class TestCpuHandlers:
     def test_param_update_fills_registry(self):
-        state = PuCoalitionState("cpu0", ParamRegistry("cpu0", ("pu0",)))
+        state = ParamRegistry("cpu0", ("pu0",))
         message = Message(MessageKind.PARAM_UPDATE, "pu0", "cpu0", make_offer("pu0"))
         result = handle(state, message, 0.0, make_ctx())
-        assert result.state.registry.entries["pu0"].channels == 4
+        assert result.state.entries["pu0"].channels == 4
         assert result.sends == []
 
     def test_param_update_for_another_pu_is_a_violation(self):
-        state = PuCoalitionState("cpu0", ParamRegistry("cpu0", ("pu0", "pu1")))
+        state = ParamRegistry("cpu0", ("pu0", "pu1"))
         message = Message(MessageKind.PARAM_UPDATE, "pu1", "cpu0", make_offer("pu0"))
         result = handle(state, message, 0.0, make_ctx())
         assert result.state is state and result.sends == []
         assert result.violation == "t=0: ParamUpdate from 'pu1' for another PU at 'cpu0'"
 
+    @pytest.mark.parametrize("offer, detail", [
+        (make_offer("pu1"), "'pu1' is not a member of coalition 'cpu0'"),
+        (make_offer("pu0", cpu_id="cpu1"), "offer of 'pu0' names coordinator 'cpu1', not 'cpu0'"),
+    ])
+    def test_param_update_the_registry_refuses_is_a_violation(self, offer, detail):
+        state = ParamRegistry("cpu0", ("pu0",))
+        message = Message(MessageKind.PARAM_UPDATE, offer.pu_id, "cpu0", offer)
+        result = handle(state, message, 3.0, make_ctx())
+        assert result.violation == f"t=3: {detail} at 'cpu0'"
+        assert result.state is state and result.sends == [] and result.allocations == []
+
     def test_cfp_yields_exactly_one_offer_after_select_delay(self):
         registry = ParamRegistry("cpu0", ("a", "b", "c"))
         for pu_id, price in (("a", 10.0), ("b", 8.0), ("c", 12.0)):
             registry = register_params(registry, Offer(pu_id, "cpu0", 4, price, 60.0))
-        state = PuCoalitionState("cpu0", registry)
         message = Message(MessageKind.CFP, "csu0", "cpu0", (Demand("su0", 2),))
-        result = handle(state, message, 25.0, make_ctx())
+        result = handle(registry, message, 25.0, make_ctx())
         [(reply, delay)] = result.sends
         assert reply.kind is MessageKind.CPU_OFFER and delay == 2.0
         assert reply.payload.offer.pu_id == "b"
@@ -301,13 +310,12 @@ class TestCpuHandlers:
 
     def test_cfp_single_reply_carries_demand_ref(self):
         registry = register_params(ParamRegistry("cpu0", ("a",)), Offer("a", "cpu0", 4, 9.0, 60.0))
-        state = PuCoalitionState("cpu0", registry)
         message = Message(MessageKind.CFP_SINGLE, "su7", "cpu0", Demand("su7", 2))
-        [(reply, _)] = handle(state, message, 10.0, make_ctx()).sends
+        [(reply, _)] = handle(registry, message, 10.0, make_ctx()).sends
         assert reply.payload.demand_ref == "su7"
 
     def test_empty_registry_answers_no_offer(self):
-        state = PuCoalitionState("cpu0", ParamRegistry("cpu0", ()))
+        state = ParamRegistry("cpu0", ())
         message = Message(MessageKind.CFP, "csu0", "cpu0", ())
         [(reply, _)] = handle(state, message, 25.0, make_ctx()).sends
         assert reply.kind is MessageKind.CPU_NO_OFFER
@@ -375,13 +383,12 @@ class TestCsuHandlers:
     def test_fifth_offer_releases_replies(self):
         cpu_ids = ("cpu0", "cpu1", "cpu2", "cpu3", "cpu4")
         ctx = make_ctx(cpu_ids=cpu_ids, capacities={f"p{k}": 8 for k in range(5)})
-        demands = tuple((10.0, Demand(f"su{i}", 1)) for i in range(3))
         state = SuCoalitionState(
             "csu0",
             tuple(f"su{i}" for i in range(3)),
             phase=CsuPhase.AWAITING_OFFERS,
-            demands=demands,
-            asks={None: Ask(tuple(d for _, d in demands), due=5)},
+            asked=0b111,
+            asks={None: Ask(tuple(Demand(f"su{i}", 1) for i in range(3)), due=5)},
         )
         for k in range(4):
             message = Message(
@@ -522,21 +529,46 @@ class TestCsuHandlers:
         assert again.violation == "t=20: second SuRequest from 'su0000' at 'csu0'"
         assert again.state is state and again.sends == [] and again.allocations == []
         assert state.phase is CsuPhase.COLLECTING
+        assert (state.requests != ()) is aggregation  # per demand, no request is kept
         # the other member's request still completes the coalition
         result = handle(state, self.request("su0001"), 30.0, ctx)
         assert result.state.phase is CsuPhase.AWAITING_OFFERS
-        assert [d.su_id for _, d in result.state.demands] == ["su0000", "su0001"]
+        assert result.state.asked == 0b11 and result.state.requests == ()
         if aggregation:
             assert [m.kind for m, _ in result.sends] == [MessageKind.CFP] * 2
             assert [d.su_id for d in result.sends[0][0].payload] == ["su0000", "su0001"]
+        else:
+            assert [m.payload.su_id for m, _ in result.sends] == ["su0001"] * 2
+        # every member has asked: a further request is still a second one
+        late = handle(result.state, self.request("su0001"), 40.0, ctx)
+        assert late.violation == "t=40: second SuRequest from 'su0001' at 'csu0'"
 
     def test_request_from_non_member_is_violation(self):
         ctx = make_ctx()
-        state = SuCoalitionState("csu0", ("su0000", "su0001"))
-        result = handle(state, self.request("su_stranger"), 10.0, ctx)
-        assert result.violation == "t=10: SuRequest from non-member 'su_stranger' at 'csu0'"
-        assert result.state is state and result.sends == []
-        assert state.demands == ()
+        fresh = SuCoalitionState("csu0", ("su1", "su3"))
+        done = fresh
+        for member in fresh.member_ids:
+            done = handle(done, self.request(member), 20.0, ctx).state
+        # ids that sort before the first member, between the two, after the last
+        for stranger in ("su0", "su2", "su4", "su_stranger"):
+            for state in (fresh, done):  # before and after every member has asked
+                result = handle(state, self.request(stranger), 30.0, ctx)
+                assert result.violation == f"t=30: SuRequest from non-member {stranger!r} at 'csu0'"
+                assert result.state is state and result.sends == []
+        assert fresh.asked == 0 and fresh.requests == ()
+
+    def test_batch_orders_demands_by_arrival_then_id(self):
+        members = tuple(f"su{i}" for i in range(6))
+        ctx = make_ctx()
+        state = SuCoalitionState("csu0", members)
+        # arrival times tie, and the tied requests arrive in shuffled id order
+        for sender, t in (("su4", 10.0), ("su1", 10.0), ("su5", 10.0),
+                          ("su3", 20.0), ("su0", 20.0), ("su2", 20.0)):
+            result = handle(state, self.request(sender), t, ctx)
+            state = result.state
+        [(cfp, _)] = result.sends
+        assert [d.su_id for d in cfp.payload] == ["su1", "su4", "su5", "su0", "su2", "su3"]
+        assert state.requests == () and state.phase is CsuPhase.AWAITING_OFFERS
 
     def test_request_for_another_su_is_violation(self):
         ctx = make_ctx()
