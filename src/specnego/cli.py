@@ -91,20 +91,22 @@ def _event_cap() -> int | None:
         raise ScenarioParseError(str(exc)) from exc
 
 
-def _load_scenario(path: Path):
+def _load_valid_scenario(path: Path):
+    """The scenario at ``path``; None if it is invalid, after printing each problem to stderr."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
-    return parse_scenario(data)
+    scenario = parse_scenario(data)
+    problems = validate(scenario)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return None if problems else scenario
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    problems = validate(scenario)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
+    scenario = _load_valid_scenario(args.scenario)
+    if scenario is None:
         return EXIT_VALIDATION
     report = run(scenario, event_cap=_event_cap())
     files = export_report(report, args.out)
@@ -148,11 +150,8 @@ def _cmd_topsis(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    problems = validate(scenario)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
+    scenario = _load_valid_scenario(args.scenario)
+    if scenario is None:
         return EXIT_VALIDATION
     print(f"{args.scenario}: scenario OK")
     return EXIT_OK

@@ -7,6 +7,10 @@ same time dispatch in insertion order (strictly increasing ``seq``), which
 makes every run bit-reproducible: no wall clock, no RNG, no unordered
 iteration anywhere in dispatch.
 
+Dispatch hands each event to its agent's handler, stores the returned state
+without inspecting it, and applies the returned allocations and sends.
+:meth:`World.report` reads each SU's outcome from its final state.
+
 Each queued event is a :class:`SimEvent` NamedTuple, dropped once dispatched.
 The run's record of dispatched events is an :class:`EventLog`: five typed
 columns (time, seq, sender, recipient, payload code) with agent ids interned
@@ -30,7 +34,6 @@ from .protocol import (
     HandlerContext,
     Message,
     MessageKind,
-    PrimaryUserState,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -54,7 +57,6 @@ DEFAULT_EVENT_CAP = 10_000_000
 
 DELIVER = "Deliver"
 AGENT_WAKE = "AgentWake"
-_TERMINAL = (SuPhase.SERVED, SuPhase.UNSERVED)
 
 
 class SimEvent(NamedTuple):
@@ -222,35 +224,30 @@ class World:
             capacities=MappingProxyType(self.capacities),
         )
 
-        # One Offer per PU, shared by its state and its t=0 ParamUpdate.
-        offers: dict[str, Offer] = {}
-        for pu in scenario.pus:
-            cpu_id = self.plan.cpu_of_pu.get(pu.id, pu.id)
-            offers[pu.id] = Offer(pu.id, cpu_id, pu.channels, pu.price, pu.alloc_time)
-        self.states: dict[str, object] = {
-            pu_id: PrimaryUserState(pu_id, offer) for pu_id, offer in offers.items()
-        }
+        # A PU's state is its Offer; its t=0 Offer is also its ParamUpdate.
+        cpu_of_pu = self.plan.cpu_of_pu
+        offers = [
+            Offer(pu.id, cpu_of_pu.get(pu.id, pu.id), pu.channels, pu.price, pu.alloc_time)
+            for pu in scenario.pus
+        ]
+        self.states: dict[str, object] = {offer.pu_id: offer for offer in offers}
         for cpu_id, members in self.plan.cpu_membership.items():
             self.states[cpu_id] = ParamRegistry(cpu_id, tuple(members))
         for csu_id, members in self.plan.csu_membership.items():
             self.states[csu_id] = SuCoalitionState(csu_id, tuple(members))
         for su in scenario.sus:
-            self.states[su.id] = SecondaryUserState(
-                su.id, su.channels_requested, su.arrival_time
-            )
+            self.states[su.id] = SecondaryUserState(su.id, su.channels_requested)
 
         self.event_log = EventLog()
         self.sent = 0
         self.allocations: list[Allocation] = []
         self.violations: list[str] = []
-        self.per_su_response: dict[str, float | None] = {}
-        self._last_completion: float | None = None
 
         # Seed the run: PU parameter registrations delivered at t=0 in the
         # coalition topologies, and one wake per SU at its arrival time.
         if WIRINGS[self.plan.topology].pu_coalitions:
-            for pu_id, offer in offers.items():
-                message = Message(MessageKind.PARAM_UPDATE, pu_id, offer.cpu_id, offer)
+            for offer in offers:
+                message = Message(MessageKind.PARAM_UPDATE, offer.pu_id, offer.cpu_id, offer)
                 self._schedule(0.0, DELIVER, message=message)
                 self.sent += 1
         for su in scenario.sus:
@@ -290,7 +287,7 @@ class World:
                 raise ValueError(f"wake for unknown agent {agent_id!r}")
             result = handle_wake(state, time, self.ctx)
 
-        self._apply(state, result.state, agent_id, message)
+        self.states[agent_id] = result.state
         if result.violation is not None:
             self.violations.append(result.violation)
         for allocation in result.allocations:
@@ -304,24 +301,13 @@ class World:
         for message, delay in result.sends:
             due = time + delay + self.scenario.timing.latency
             if due == math.inf:
-                raise _time_overflow("delivery", message, time)
+                raise RuntimeError(
+                    f"delivery time overflows to inf: {message.kind.value} from "
+                    f"{message.sender!r} to {message.recipient!r} at t={time!r}"
+                )
             self._schedule(due, DELIVER, message)
         self.sent += len(result.sends)
         return self
-
-    def _apply(self, old_state, new_state, agent_id: str, message: Message | None) -> None:
-        self.states[agent_id] = new_state
-        if isinstance(new_state, SecondaryUserState) and isinstance(old_state, SecondaryUserState):
-            if old_state.phase not in _TERMINAL and new_state.phase in _TERMINAL:
-                completed = new_state.completed_at
-                if completed == math.inf:
-                    raise _time_overflow("completion", message, self.clock)
-                if new_state.phase is SuPhase.SERVED:
-                    self.per_su_response[agent_id] = completed - new_state.arrival_time
-                else:
-                    self.per_su_response[agent_id] = None
-                if self._last_completion is None or completed > self._last_completion:
-                    self._last_completion = completed
 
     def run_to_quiescence(self) -> RunReport:
         while self._queue:
@@ -348,16 +334,29 @@ class World:
                 f"message conservation broken: sent {self.sent}, delivered {delivered}, "
                 f"closed form {expected}"
             )
-        arrivals = [su.arrival_time for su in self.scenario.sus]
+        # Each SU's outcome is its final state: served, unserved, or never
+        # finished (completed_at None). Every finished SU counts in run_response.
+        per_su: dict[str, float | None] = {}
+        completions = []
+        for su in self.scenario.sus:
+            state = self.states[su.id]
+            completed = state.completed_at
+            if completed == math.inf:
+                raise RuntimeError(
+                    f"completion time overflows to inf: {su.id!r} arrived at t={su.arrival_time!r}"
+                )
+            served = state.phase is SuPhase.SERVED
+            per_su[su.id] = completed - su.arrival_time if served else None
+            if completed is not None:
+                completions.append(completed)
         run_response = None
-        if arrivals and self._last_completion is not None:
-            run_response = self._last_completion - min(arrivals)
+        if completions:
+            run_response = max(completions) - min(su.arrival_time for su in self.scenario.sus)
         registries = {
             agent_id: dict(state.entries)
             for agent_id, state in sorted(self.states.items())
             if isinstance(state, ParamRegistry)
         }
-        per_su = {su.id: self.per_su_response.get(su.id) for su in self.scenario.sus}
         return RunReport(
             event_log=self.event_log,
             msg_counts=msg_counts,
@@ -370,13 +369,6 @@ class World:
             registries=registries,
             final_capacities=dict(sorted(self.capacities.items())),
         )
-
-
-def _time_overflow(what: str, message: Message, time: float) -> RuntimeError:
-    return RuntimeError(
-        f"{what} time overflows to inf: {message.kind.value} from "
-        f"{message.sender!r} to {message.recipient!r} at t={time!r}"
-    )
 
 
 def run(scenario: Scenario, event_cap: int | None = None) -> RunReport:

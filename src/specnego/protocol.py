@@ -11,9 +11,16 @@ Four agent kinds exchange seven message kinds across three wiring modes:
   proposals per PU-coalition), rank the returned offers, assign them to
   demands, and reply to their members.
 
-A PU-coalition coordinator's state is its ``ParamRegistry``. An SU-coalition
-takes each member's request in O(1): a bitmask of the members that have
-asked and, when aggregating, a chain of demands flattened once per batch.
+Each agent's state holds each fact once:
+
+* a PU's state is its :class:`Offer` at the capacity it last quoted;
+* a PU-coalition coordinator's state is its ``ParamRegistry``;
+* an SU's state is its request, its phase, its own open ask, and the time
+  it finished (None until it is served or unserved);
+* an SU-coalition keeps no phase: a bitmask of the members that have asked,
+  when aggregating a chain of their demands (flattened once per batch), and
+  its open asks. Each request is taken in O(1), and the coalition is done
+  once every member has asked and no ask is open.
 
 Every SU-side TOPSIS decision ends one :class:`Ask`: a call for proposals to
 a fixed set of agents, made by an SU for itself (to every PU or PU-coalition)
@@ -51,8 +58,6 @@ __all__ = [
     "Allocation",
     "Ask",
     "SuPhase",
-    "CsuPhase",
-    "PrimaryUserState",
     "SecondaryUserState",
     "SuCoalitionState",
     "AgentState",
@@ -146,12 +151,6 @@ class SuPhase(Enum):
     UNSERVED = "Unserved"
 
 
-class CsuPhase(Enum):
-    COLLECTING = "Collecting"
-    AWAITING_OFFERS = "AwaitingOffers"
-    DONE = "Done"
-
-
 @dataclass(frozen=True, slots=True)
 class Ask:
     """One open call for proposals; its last reply settles it in :func:`_answer`."""
@@ -164,16 +163,9 @@ class Ask:
 
 
 @dataclass(frozen=True)
-class PrimaryUserState:
-    agent_id: str
-    offer: Offer  # the PU's terms at the capacity it last quoted
-
-
-@dataclass(frozen=True)
 class SecondaryUserState:
     agent_id: str
     channels_requested: int
-    arrival_time: float
     phase: SuPhase = SuPhase.IDLE
     ask: Ask | None = None  # the SU's own open ask; None when its SU-coalition asks
     completed_at: float | None = None
@@ -183,7 +175,6 @@ class SecondaryUserState:
 class SuCoalitionState:
     agent_id: str
     member_ids: tuple[str, ...]  # sorted, as form_coalitions returns them
-    phase: CsuPhase = CsuPhase.COLLECTING
     asked: int = 0  # bit i is set once member_ids[i] has asked
     # Aggregated mode: the requests so far as a persistent chain
     # ((time, demand), earlier) ending in (), dropped once the batch is issued.
@@ -193,7 +184,7 @@ class SuCoalitionState:
     asks: dict[str | None, Ask] = field(default_factory=dict)
 
 
-AgentState = Union[PrimaryUserState, SecondaryUserState, ParamRegistry, SuCoalitionState]
+AgentState = Union[Offer, SecondaryUserState, ParamRegistry, SuCoalitionState]
 
 
 @dataclass(frozen=True)
@@ -354,7 +345,7 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
 
 def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
     """Dispatch one delivered message to the addressed agent's state machine."""
-    if isinstance(state, PrimaryUserState):
+    if isinstance(state, Offer):
         return _handle_pu(state, msg, now, ctx)
     if isinstance(state, ParamRegistry):
         return _handle_cpu(state, msg, now, ctx)
@@ -365,19 +356,16 @@ def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> 
     raise ValueError(f"unknown agent state {state!r}")
 
 
-def _handle_pu(
-    state: PrimaryUserState, msg: Message, now: float, ctx: HandlerContext
-) -> HandlerResult:
+def _handle_pu(state: Offer, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
+    me = state.pu_id
     if msg.kind is not MessageKind.CFP_SINGLE:
-        return _violation(state, state.agent_id, f"unexpected {msg.kind.value}", now)
-    me = state.agent_id
+        return _violation(state, me, f"unexpected {msg.kind.value}", now)
     capacity = ctx.capacities.get(me, 0)
     offer = None
     if capacity > 0:
-        offer = state.offer
-        if offer.channels != capacity:
-            offer = Offer(me, offer.cpu_id, capacity, offer.price, offer.alloc_time)
-            state = PrimaryUserState(me, offer)
+        if state.channels != capacity:
+            state = Offer(me, state.cpu_id, capacity, state.price, state.alloc_time)
+        offer = state
     reply = _quote(me, msg.sender, offer, msg.payload.su_id)
     return HandlerResult(state=state, sends=[(reply, ctx.timing.pu_reply)])
 
@@ -404,9 +392,6 @@ def _handle_csu(
     state: SuCoalitionState, msg: Message, now: float, ctx: HandlerContext
 ) -> HandlerResult:
     me = state.agent_id
-    if state.phase is CsuPhase.DONE:
-        return _violation(state, me, f"{msg.kind.value} in terminal phase Done", now)
-
     if msg.kind is MessageKind.SU_REQUEST:
         demand: Demand = msg.payload
         sender, members = msg.sender, state.member_ids
@@ -435,8 +420,7 @@ def _handle_csu(
             requests = ((now, demand), state.requests)
             return HandlerResult(state=replace(state, asked=asked, requests=requests))
         sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
-        phase = CsuPhase.AWAITING_OFFERS if complete else CsuPhase.COLLECTING
-        new_state = replace(state, asked=asked, requests=(), asks=asks, phase=phase)
+        new_state = replace(state, asked=asked, requests=(), asks=asks)
         return HandlerResult(state=new_state, sends=sends)
 
     if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
@@ -456,10 +440,7 @@ def _handle_csu(
         for d in ask.demands
     ]
     asks = {k: a for k, a in state.asks.items() if k != key}
-    # Done once every member has asked and no ask is open.
-    phase = CsuPhase.DONE if state.phase is CsuPhase.AWAITING_OFFERS and not asks else state.phase
-    new_state = replace(state, asks=asks, phase=phase)
-    return HandlerResult(state=new_state, sends=sends, allocations=allocations)
+    return HandlerResult(state=replace(state, asks=asks), sends=sends, allocations=allocations)
 
 
 def _handle_su(
@@ -478,9 +459,9 @@ def _handle_su(
         ask, allocations, delay = _answer(ask, msg.payload.offer, ctx)
         if ask is not None:
             # Replies still due; the constructor costs half of replace() per reply.
-            return HandlerResult(state=SecondaryUserState(
-                me, state.channels_requested, state.arrival_time, state.phase, ask
-            ))
+            return HandlerResult(
+                state=SecondaryUserState(me, state.channels_requested, state.phase, ask)
+            )
         served, completed_at = bool(allocations), now + delay
     else:
         return _violation(state, me, f"unexpected {msg.kind.value}", now)

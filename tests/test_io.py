@@ -437,7 +437,9 @@ class TestReportExports:
         )
         assert [p.split(":")[0] for p in validate(scenario)] == ["timing"]
         monkeypatch.setattr("specnego.kernel.validate", lambda scenario: [])
-        with pytest.raises(RuntimeError, match="completion time overflows to inf: CpuOffer"):
+        with pytest.raises(
+            RuntimeError, match=r"completion time overflows to inf: 'su0' arrived at t=0\.0"
+        ):
             run(scenario)
 
     def test_reexport_is_byte_identical(self, report, tmp_path):

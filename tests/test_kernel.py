@@ -53,6 +53,21 @@ class TestHandTrace:
         assert report.quiescent_at == 52.0
         assert report.per_su_response == {"su0000": 52.0}
 
+    def test_unserved_completion_counts_in_run_response(self):
+        # 1 PU x 1 channel, no coalitions, default timing. s0 (t=0): CfpSingle
+        # delivered at 10, offer at 22, one offer ranked: served at 23. s1
+        # (t=100): CfpSingle at 110, no offer at 122, none ranked: unserved at
+        # 122, the run's last completion.
+        scenario = Scenario(
+            topology="no_coalition",
+            pus=(PrimaryUser("pu0", Zone(0, 0), 1, 10.0, 60.0),),
+            sus=(SecondaryUser("s0", Zone(0, 1), 1, 0.0),
+                 SecondaryUser("s1", Zone(0, 1), 1, 100.0)),
+        )
+        report = run(scenario)
+        assert report.per_su_response == {"s0": 23.0, "s1": None}
+        assert report.run_response == 122.0
+
     def test_ten_su_timeline(self):
         # arrivals (i-1)*100: last request delivered at 910, CFP emitted at
         # 910 + 5*10 = 960, reply chain ends at 997.
@@ -118,7 +133,7 @@ class TestStep:
         # a second registration, counted as sent, so that only the closed
         # form can tell the total is one message too many
         world = World(reference_scenario((1,)))
-        offer = world.states["pu000"].offer
+        offer = world.states["pu000"]  # a PU's state is its Offer
         extra = Message(MessageKind.PARAM_UPDATE, "pu000", offer.cpu_id, offer)
         heapq.heappush(world._queue, SimEvent(0.0, 999, DELIVER, message=extra))
         world.sent += 1

@@ -20,9 +20,7 @@ from specnego.coalitions import ParamRegistry, register_params
 from specnego.protocol import (
     Ask,
     CoordinatorReply,
-    CsuPhase,
     HandlerContext,
-    PrimaryUserState,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -157,7 +155,7 @@ class TestRankOffers:
 
 class TestSuHandlers:
     def test_wake_sends_one_request_to_own_coalition(self):
-        state = SecondaryUserState("su0", 2, 0.0)
+        state = SecondaryUserState("su0", 2)
         ctx = make_ctx(csu_of_su={"su0": "csu0"})
         result = handle_wake(state, 0.0, ctx)
         assert result.state.phase is SuPhase.WAITING
@@ -166,7 +164,7 @@ class TestSuHandlers:
         assert (message.sender, message.recipient, delay) == ("su0", "csu0", 0.0)
 
     def test_wake_broadcasts_in_flat_topologies(self):
-        state = SecondaryUserState("su0", 2, 0.0)
+        state = SecondaryUserState("su0", 2)
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("p0", "p1", "p2"))
         result = handle_wake(state, 0.0, ctx)
         assert [m.recipient for m, _ in result.sends] == ["p0", "p1", "p2"]
@@ -175,14 +173,14 @@ class TestSuHandlers:
         assert result.state.ask == Ask((Demand("su0", 2),), due=3)
 
     def test_reply_in_terminal_phase_is_violation(self):
-        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.SERVED)
+        state = SecondaryUserState("su0", 2, phase=SuPhase.SERVED)
         message = Message(MessageKind.SU_REPLY, "csu0", "su0", None)
         result = handle(state, message, 9.0, make_ctx())
         assert result.violation is not None and "terminal" in result.violation
         assert result.state == state and result.sends == []
 
     def test_reply_with_offer_serves(self):
-        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
+        state = SecondaryUserState("su0", 2, phase=SuPhase.WAITING)
         message = Message(MessageKind.SU_REPLY, "csu0", "su0", make_offer("p"))
         result = handle(state, message, 52.0, make_ctx())
         assert result.state.phase is SuPhase.SERVED
@@ -193,7 +191,7 @@ class TestSuHandlers:
         # and completes rank_per_offer * offers later
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a", "b"),
                        capacities={"a": 4, "b": 4})
-        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
+        state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
         first = Message(MessageKind.CPU_OFFER, "a", "su0",
                         CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, first, 20.0, ctx)
@@ -208,7 +206,7 @@ class TestSuHandlers:
     def test_unserved_when_no_feasible_offer(self):
         ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a",),
                        capacities={"a": 4})
-        state = handle_wake(SecondaryUserState("su0", 9, 0.0), 0.0, ctx).state
+        state = handle_wake(SecondaryUserState("su0", 9), 0.0, ctx).state
         message = Message(MessageKind.CPU_OFFER, "a", "su0",
                           CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, message, 20.0, ctx)
@@ -217,7 +215,7 @@ class TestSuHandlers:
 
     def test_no_offer_counts_as_a_reply_but_is_not_ranked(self):
         ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0", "cpu1"), capacities={"a": 4})
-        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
+        state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
         none = Message(MessageKind.CPU_NO_OFFER, "cpu0", "su0", CoordinatorReply(None, "su0"))
         result = handle(state, none, 20.0, ctx)
         assert result.state.phase is SuPhase.WAITING
@@ -229,7 +227,7 @@ class TestSuHandlers:
         assert result.state.completed_at == 21.0 + 1.0 * 1  # one offer ranked
 
     def test_coordinator_reply_under_cpu_csu_is_violation(self):
-        state = SecondaryUserState("su0", 2, 0.0, phase=SuPhase.WAITING)
+        state = SecondaryUserState("su0", 2, phase=SuPhase.WAITING)
         message = Message(MessageKind.CPU_OFFER, "cpu0", "su0",
                           CoordinatorReply(make_offer("p0"), "su0"))
         result = handle(state, message, 20.0, make_ctx(capacities={"p0": 4}))
@@ -238,7 +236,7 @@ class TestSuHandlers:
 
     def test_su_reply_to_an_su_asking_itself_is_violation(self):
         ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0",))
-        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
+        state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
         message = Message(MessageKind.SU_REPLY, "cpu0", "su0", make_offer("p0"))
         result = handle(state, message, 20.0, ctx)
         assert result.violation == "t=20: unexpected SuReply at 'su0'"
@@ -252,7 +250,7 @@ def test_equal_offers_ranked_in_reply_order(asker):
     cpu_ids = ("cpu0", "cpu1", "cpu2")
     if asker == "su":
         ctx = make_ctx(topology="cpu_only", cpu_ids=cpu_ids, capacities={"a": 4, "b": 4})
-        state = handle_wake(SecondaryUserState("su0", 2, 0.0), 0.0, ctx).state
+        state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
     else:
         ctx = make_ctx(aggregation=False, cpu_ids=cpu_ids, capacities={"a": 4, "b": 4})
         request = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
@@ -267,7 +265,7 @@ def test_equal_offers_ranked_in_reply_order(asker):
     if asker == "su":
         assert state.phase is SuPhase.SERVED and state.ask is None
     else:
-        assert state.phase is CsuPhase.DONE and state.asks == {}
+        assert state.asked == 0b1 and state.asks == {}
         assert [(m.recipient, m.payload) for m, _ in result.sends] == [("su0", make_offer("b"))]
 
 
@@ -327,33 +325,33 @@ class TestPuHandlers:
         return handle(state, message, 5.0, make_ctx(capacities={"p0": capacity}))
 
     def test_offer_reused_while_capacity_unchanged(self):
-        first = self.cfp(PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0)), 4)
+        first = self.cfp(Offer("p0", "p0", 4, 9.0, 30.0), 4)
         [(reply, delay)] = first.sends
         assert delay == 2.0
         assert reply.payload.offer == Offer("p0", "p0", 4, 9.0, 30.0)
-        assert first.state.offer is reply.payload.offer
+        assert first.state is reply.payload.offer
         second = self.cfp(first.state, 4)
         assert second.state is first.state
         assert second.sends[0][0].payload.offer is reply.payload.offer
 
     def test_offer_rebuilt_when_capacity_changes(self):
-        first = self.cfp(PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0)), 4)
+        first = self.cfp(Offer("p0", "p0", 4, 9.0, 30.0), 4)
         second = self.cfp(first.state, 3)
         assert second.sends[0][0].payload.offer == Offer("p0", "p0", 3, 9.0, 30.0)
-        assert second.state.offer.channels == 3
-        assert first.state.offer.channels == 4  # the earlier state is untouched
+        assert second.state.channels == 3
+        assert first.state.channels == 4  # the earlier state is untouched
 
     def test_no_offer_without_capacity(self):
-        state = self.cfp(PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0)), 4).state
+        state = self.cfp(Offer("p0", "p0", 4, 9.0, 30.0), 4).state
         result = self.cfp(state, 0)
         assert result.sends[0][0].kind is MessageKind.CPU_NO_OFFER
         assert result.state is state
 
     def test_state_is_the_offer_at_last_quoted_capacity(self):
-        state = PrimaryUserState("p0", Offer("p0", "p0", 4, 9.0, 30.0))
+        state = Offer("p0", "p0", 4, 9.0, 30.0)
         assert self.cfp(state, 4).state is state
         rebuilt = self.cfp(state, 2).state
-        assert rebuilt == PrimaryUserState("p0", Offer("p0", "p0", 2, 9.0, 30.0))
+        assert rebuilt == Offer("p0", "p0", 2, 9.0, 30.0)
 
 
 class TestCsuHandlers:
@@ -362,7 +360,7 @@ class TestCsuHandlers:
         ctx = make_ctx(cpu_ids=("cpu0", "cpu1", "cpu2", "cpu3", "cpu4"))
         message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
         result = handle(state, message, 10.0, ctx)
-        assert result.state.phase is CsuPhase.AWAITING_OFFERS
+        assert result.state.asked == 0b1 and set(result.state.asks) == {None}
         assert len(result.sends) == 5
         assert all(m.kind is MessageKind.CFP for m, _ in result.sends)
         assert all(delay == 5.0 * 1 for _, delay in result.sends)
@@ -372,10 +370,10 @@ class TestCsuHandlers:
         ctx = make_ctx()
         message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
         result = handle(state, message, 10.0, ctx)
-        assert result.sends == [] and result.state.phase is CsuPhase.COLLECTING
+        assert result.sends == [] and result.state.asked == 0b01 and result.state.asks == {}
         message = Message(MessageKind.SU_REQUEST, "su1", "csu0", Demand("su1", 1))
         result = handle(result.state, message, 110.0, ctx)
-        assert result.state.phase is CsuPhase.AWAITING_OFFERS
+        assert result.state.asked == 0b11 and set(result.state.asks) == {None}
         [(cfp, delay)] = result.sends
         assert delay == 5.0 * 2
         assert [d.su_id for d in cfp.payload] == ["su0", "su1"]
@@ -386,7 +384,6 @@ class TestCsuHandlers:
         state = SuCoalitionState(
             "csu0",
             tuple(f"su{i}" for i in range(3)),
-            phase=CsuPhase.AWAITING_OFFERS,
             asked=0b111,
             asks={None: Ask(tuple(Demand(f"su{i}", 1) for i in range(3)), due=5)},
         )
@@ -403,18 +400,23 @@ class TestCsuHandlers:
             CoordinatorReply(make_offer("p4", cpu_id=cpu_ids[4])),
         )
         result = handle(state, final, 37.0, ctx)
-        assert result.state.phase is CsuPhase.DONE
+        assert result.state.asks == {}
         assert len(result.sends) == 3  # one SuReply per member
         assert all(m.kind is MessageKind.SU_REPLY for m, _ in result.sends)
         assert all(delay == 1.0 * 5 for _, delay in result.sends)
         assert len(result.allocations) == 3
 
     def test_done_phase_rejects_messages(self):
-        state = SuCoalitionState("csu0", ("su0",), phase=CsuPhase.DONE)
+        # done: every member has asked and no ask is open
+        state = SuCoalitionState("csu0", ("su0",), asked=0b1)
         message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 1))
         result = handle(state, message, 99.0, make_ctx())
-        assert result.violation is not None and "Done" in result.violation
-        assert result.state == state
+        assert result.violation == "t=99: second SuRequest from 'su0' at 'csu0'"
+        assert result.state is state
+        reply = Message(MessageKind.CPU_NO_OFFER, "cpu0", "csu0", CoordinatorReply(None))
+        result = handle(state, reply, 99.0, make_ctx())
+        assert result.violation == "t=99: CpuNoOffer for ask None, which is not open at 'csu0'"
+        assert result.state is state
 
     def test_non_aggregated_forwards_each_demand(self):
         ctx = make_ctx(aggregation=False, cpu_ids=("cpu0", "cpu1"),
@@ -435,7 +437,7 @@ class TestCsuHandlers:
             state = result.state
         [(su_reply, _)] = result.sends
         assert su_reply.kind is MessageKind.SU_REPLY and su_reply.recipient == "su0"
-        assert state.phase is not CsuPhase.DONE  # su1 still outstanding
+        assert state.asked == 0b01 and state.asks == {}  # su1 has not asked yet
 
     def test_non_aggregated_coalition_reaches_done(self):
         cpu_ids = ("cpu0", "cpu1")
@@ -444,7 +446,7 @@ class TestCsuHandlers:
         for su_id, t in (("su0", 10.0), ("su1", 110.0)):
             message = Message(MessageKind.SU_REQUEST, su_id, "csu0", Demand(su_id, 2))
             state = handle(state, message, t, ctx).state
-        assert state.phase is CsuPhase.AWAITING_OFFERS
+        assert state.asked == 0b11 and set(state.asks) == {"su0", "su1"}
         batch = Message(MessageKind.CPU_OFFER, "cpu0", "csu0",
                         CoordinatorReply(make_offer("p0", cpu_id="cpu0")))
         rejected = handle(state, batch, 120.0, ctx)
@@ -459,9 +461,9 @@ class TestCsuHandlers:
             state = result.state
             answered += [(m.recipient, m.payload is not None) for m, _ in result.sends]
         assert answered == [("su1", True), ("su0", True)]
-        assert state.phase is CsuPhase.DONE and state.asks == {}
+        assert state.asks == {}
         late = handle(state, reply, 140.0, ctx)
-        assert "terminal phase Done" in late.violation
+        assert late.violation == "t=140: CpuOffer for ask 'su0', which is not open at 'csu0'"
 
     def per_demand_coalition(self):
         """A non-aggregated coalition of su0 and su1 with both demands forwarded."""
@@ -493,7 +495,7 @@ class TestCsuHandlers:
         assert late.violation == "t=121: CpuOffer for ask 'su0', which is not open at 'csu0'"
         assert late.allocations == [] and late.sends == []
         assert late.state is state
-        assert late.state.phase is CsuPhase.AWAITING_OFFERS
+        assert late.state.asked == 0b11
 
     def test_batch_reply_before_the_batch_is_violation(self):
         ctx = make_ctx(capacities={"p0": 8})
@@ -514,7 +516,7 @@ class TestCsuHandlers:
         assert set(state.asks) == {ref}
         result = handle(state, self.offer_for(ref), 20.0, ctx)
         assert len(result.allocations) == 1
-        assert result.state.asks == {} and result.state.phase is CsuPhase.DONE
+        assert result.state.asks == {} and result.state.asked == 0b1
 
     @staticmethod
     def request(sender, su_id=None):
@@ -528,11 +530,11 @@ class TestCsuHandlers:
         again = handle(state, self.request("su0000"), 20.0, ctx)
         assert again.violation == "t=20: second SuRequest from 'su0000' at 'csu0'"
         assert again.state is state and again.sends == [] and again.allocations == []
-        assert state.phase is CsuPhase.COLLECTING
+        assert state.asked == 0b01
         assert (state.requests != ()) is aggregation  # per demand, no request is kept
         # the other member's request still completes the coalition
         result = handle(state, self.request("su0001"), 30.0, ctx)
-        assert result.state.phase is CsuPhase.AWAITING_OFFERS
+        assert set(result.state.asks) == ({None} if aggregation else {"su0000", "su0001"})
         assert result.state.asked == 0b11 and result.state.requests == ()
         if aggregation:
             assert [m.kind for m, _ in result.sends] == [MessageKind.CFP] * 2
@@ -568,7 +570,7 @@ class TestCsuHandlers:
             state = result.state
         [(cfp, _)] = result.sends
         assert [d.su_id for d in cfp.payload] == ["su1", "su4", "su5", "su0", "su2", "su3"]
-        assert state.requests == () and state.phase is CsuPhase.AWAITING_OFFERS
+        assert state.requests == () and set(state.asks) == {None}
 
     def test_request_for_another_su_is_violation(self):
         ctx = make_ctx()

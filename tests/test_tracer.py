@@ -3,7 +3,10 @@
 The tracer rebinds module-level names of the package while a traced run
 lasts (``protocol.rank_offers``, ``protocol.topsis``, ``coalitions.topsis``,
 ...). A renamed or removed name breaks only the benchmark, so these tests
-install the tracer around tiny runs of every wiring and pin the names.
+install the tracer around tiny runs of every wiring and pin the names. They
+also pin the per-event contract behind ``kernel.step.calls`` and
+``us_per_event``: one ``World.step`` call, and one ``handle`` or
+``handle_wake`` call, per logged event.
 """
 
 import importlib.util
@@ -24,9 +27,14 @@ def load_tracer_class():
     return module.Tracer
 
 
-@pytest.mark.parametrize("topology, aggregation", [
-    ("no_coalition", True), ("cpu_only", True), ("cpu_csu", True), ("cpu_csu", False),
-])
+# The events each tiny run logs: SU wakes plus delivered messages.
+EVENTS = {
+    ("no_coalition", True): 45, ("cpu_only", True): 29, ("cpu_csu", True): 27,
+    ("cpu_csu", False): 39,
+}
+
+
+@pytest.mark.parametrize("topology, aggregation", list(EVENTS))
 def test_tracer_spans_every_wiring_and_restores_the_names(topology, aggregation):
     groups = (2, 3) if topology == "cpu_csu" else (5,)
     scenario = generate_scenario(topology, 4, 2, groups, aggregation=aggregation)
@@ -34,7 +42,7 @@ def test_tracer_spans_every_wiring_and_restores_the_names(topology, aggregation)
     try:
         tracer.install()
         rebound = list(tracer._restore)  # (owner, attribute, original object)
-        run(scenario)
+        report = run(scenario)
     finally:
         tracer.uninstall()
 
@@ -44,6 +52,10 @@ def test_tracer_spans_every_wiring_and_restores_the_names(topology, aggregation)
     if topology != "no_coalition":
         expected += ["coalitions.best_offer", "coalitions.register_params"]
     assert all(calls.get(name, 0) > 0 for name in expected), calls
+    events = EVENTS[topology, aggregation]
+    assert len(report.event_log) == events
+    assert calls["kernel.step"] == events
+    assert calls.get("protocol.handle", 0) + calls.get("protocol.handle_wake", 0) == events
     assert rebound
     for owner, attribute, original in rebound:
         assert getattr(owner, attribute) is original, f"{owner.__name__}.{attribute}"
