@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from .kernel import run
 from .model import (
@@ -51,6 +51,7 @@ PRICE_RANGE = (5.0, 20.0)
 ALLOC_TIME_RANGE = (10.0, 120.0)
 REQUEST_RANGE = (1, 3)
 ARRIVAL_SPACING = 100.0
+CSU_SIZE = 5  # exp_iv's SU-coalition size
 
 
 def generate_scenario(
@@ -60,17 +61,16 @@ def generate_scenario(
     su_groups: tuple[int, ...] = (),
     aggregation: bool = True,
     seed: int = 1,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-    timing: TimingConstants | None = None,
 ) -> Scenario:
     """Deterministically generate one experiment scenario.
 
     ``su_groups`` lists SU-coalition sizes for ``cpu_csu``; for the other
     topologies pass a single group (no SU coordinators are created, the
-    grouping only staggers arrivals). Within each group the i-th SU arrives
+    grouping only staggers arrivals). ``cpu_count`` is set to 0 where the
+    topology forms no PU-coalitions. Within each group the i-th SU arrives
     at (i-1) * 100 time units. Agents are laid out in well-separated zone
     clusters so nearest-coordinator assignment reproduces the intended
-    memberships.
+    memberships. Weights and timing are the model's defaults.
     """
     if topology not in WIRINGS:
         raise ValueError(f"unknown topology {topology!r}")
@@ -78,7 +78,6 @@ def generate_scenario(
     cpu_count = cpu_count if wiring.pu_coalitions else 0
     csu_count = len(su_groups) if wiring.su_coalitions else 0
     rng = random.Random(seed)
-    timing = timing or TimingConstants()
 
     pus = []
     for j in range(pu_count):
@@ -120,8 +119,6 @@ def generate_scenario(
         ),
         aggregation=aggregation,
         seed=seed,
-        weights=weights,
-        timing=timing,
     )
 
 
@@ -145,35 +142,34 @@ class ExperimentSpec:
     cpu_count: int = 5
     su_sweep: tuple[int, ...] = ()
     csu_splits: tuple[tuple[int, int], ...] = ()  # (csu_count, sus_per_csu)
-    csu_size: int = 5
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS
-    timing: TimingConstants = field(default_factory=TimingConstants)
 
     def __post_init__(self) -> None:
         if self.experiment_id not in STUDIES:
             raise ValueError(f"unknown experiment {self.experiment_id!r}")
+        splits = [count for split in self.csu_splits for count in split]
+        for name, counts in (("su_sweep", self.su_sweep), ("csu_splits", splits)):
+            if counts and min(counts) < 1:
+                raise ValueError(f"{name}: counts must be >= 1, got {min(counts)!r}")
 
 
 def _single_csu_runs(spec: ExperimentSpec) -> Iterator[tuple]:
     for su_count in spec.su_sweep:
-        yield f"{su_count} SU", (su_count,), "cpu_csu", spec.cpu_count, (su_count,)
+        yield f"{su_count} SU", (su_count,), "cpu_csu", (su_count,)
 
 
 def _csu_split_runs(spec: ExperimentSpec) -> Iterator[tuple]:
     for csu_count, per_csu in spec.csu_splits:
-        yield (f"{csu_count} CSU x {per_csu} SU", (csu_count,), "cpu_csu",
-               spec.cpu_count, (per_csu,) * csu_count)
+        yield f"{csu_count} CSU x {per_csu} SU", (csu_count,), "cpu_csu", (per_csu,) * csu_count
 
 
 def _topology_runs(spec: ExperimentSpec) -> Iterator[tuple]:
     for topology, wiring in WIRINGS.items():
-        cpu_count = spec.cpu_count if wiring.pu_coalitions else 0
         for su_count in spec.su_sweep:
             groups = (su_count,)
             if wiring.su_coalitions:
-                full, rest = divmod(su_count, spec.csu_size)
-                groups = (spec.csu_size,) * full + ((rest,) if rest else ())
-            yield f"{topology} S={su_count}", (topology, su_count), topology, cpu_count, groups
+                full, rest = divmod(su_count, CSU_SIZE)
+                groups = (CSU_SIZE,) * full + ((rest,) if rest else ())
+            yield f"{topology} S={su_count}", (topology, su_count), topology, groups
 
 
 @dataclass(frozen=True)
@@ -181,10 +177,10 @@ class Study:
     """Everything that differs between the built-in studies."""
 
     defaults: dict  # ExperimentSpec fields other than the id and seed
-    title: tuple[str, ...]  # leading note lines, str.format-ted with ``spec``
+    title: tuple[str, ...]  # leading note lines
     keys: tuple[str, ...]  # row-key columns between the label and the metrics
     chart: tuple[str, str, str, str | None]  # (kind, x column, y column, series column)
-    # yields one (label, row-key cells, topology, cpu_count, su_groups) per run
+    # yields one (label, row-key cells, topology, su_groups) per run
     runs: Callable[[ExperimentSpec], Iterator[tuple]]
     takes_su_sweep: bool = False  # whether experiment_spec's su_sweep replaces the default
 
@@ -208,7 +204,7 @@ STUDIES = {
     "exp_iv": Study(
         {"su_sweep": (5, 10, 15, 20, 25)},
         ("message totals across the three topologies",
-         "cpu_csu rows aggregate member demands; SU-coalitions sized {spec.csu_size}"),
+         f"cpu_csu rows aggregate member demands; SU-coalitions sized {CSU_SIZE}"),
         ("topology", "su_count"), ("bar", "su_count", "total_messages", "topology"),
         _topology_runs, takes_su_sweep=True,
     ),
@@ -236,18 +232,16 @@ def run_experiment(spec: ExperimentSpec, event_cap: int | None = None) -> Metric
     """Run every configuration of a study and tabulate the metrics."""
     study = STUDIES[spec.experiment_id]
     rows = []
-    for label, keys, topology, cpu_count, groups in study.runs(spec):
+    for label, keys, topology, groups in study.runs(spec):
         scenario = generate_scenario(
-            topology, spec.pu_count, cpu_count, groups,
-            seed=spec.seed, weights=spec.weights, timing=spec.timing,
-        )
+            topology, spec.pu_count, spec.cpu_count, groups, seed=spec.seed)
         report = run(scenario, event_cap=event_cap)
         rows.append((label, *keys, report.total_messages, report.run_response)
                     + tuple(report.msg_counts[kind] for kind in KIND_COLUMNS))
-    timing = ", ".join(f"{name}={value:g}" for name, value in asdict(spec.timing).items())
-    notes = [line.format(spec=spec) for line in study.title] + [
+    timing = ", ".join(f"{name}={value:g}" for name, value in asdict(TimingConstants()).items())
+    notes = list(study.title) + [
         f"seed={spec.seed}; fixed topology: {spec.pu_count} PU over {spec.cpu_count} PU-coalitions",
-        f"weights={spec.weights}; timing: {timing}",
+        f"weights={DEFAULT_WEIGHTS}; timing: {timing}",
         f"generated PU params: channels in {list(CHANNELS_RANGE)}, price in {list(PRICE_RANGE)}, "
         f"alloc_time in {list(ALLOC_TIME_RANGE)}; SU requests in {list(REQUEST_RANGE)}",
         "message totals include the initial PU registration messages (one per PU) "

@@ -11,11 +11,14 @@ Dispatch hands each event to its agent's handler, stores the returned state
 without inspecting it, and applies the returned allocations and sends.
 :meth:`World.report` reads each SU's outcome from its final state.
 
-Each queued event is a :class:`SimEvent` NamedTuple, dropped once dispatched.
+A queue entry is ``(time, seq, event)``, where the event is the
+:class:`Message` to deliver or the id of the SU to wake; ``seq`` is unique,
+so ordering never compares events. An entry is dropped once dispatched.
 The run's record of dispatched events is an :class:`EventLog`: five typed
 columns (time, seq, sender, recipient, payload code) with agent ids interned
 in a first-seen table, about 25 bytes per event, so a run near the 10M-event
 cap keeps its log in about 250 MB. Rows read back as :class:`LoggedEvent`.
+The event cap counts logged events: every dispatched event is logged first.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
 from .coalitions import ParamRegistry
-from .model import WIRINGS, Offer, Scenario, expected_messages, validate
+from .model import Offer, Scenario, expected_messages, validate
 from .protocol import (
     Allocation,
     HandlerContext,
@@ -44,7 +47,6 @@ from .protocol import (
 
 __all__ = [
     "DEFAULT_EVENT_CAP",
-    "SimEvent",
     "LoggedEvent",
     "EventLog",
     "RunReport",
@@ -57,16 +59,6 @@ DEFAULT_EVENT_CAP = 10_000_000
 
 DELIVER = "Deliver"
 AGENT_WAKE = "AgentWake"
-
-
-class SimEvent(NamedTuple):
-    """A scheduled occurrence: message delivery or an agent wake-up."""
-
-    time: float
-    seq: int
-    kind: str  # DELIVER or AGENT_WAKE
-    message: Message | None = None
-    agent_id: str | None = None
 
 
 class LoggedEvent(NamedTuple):
@@ -212,9 +204,8 @@ class World:
         self.plan = topology_plan(scenario)
 
         self.clock = 0.0
-        self.dispatched = 0
         self._seq = 0
-        self._queue: list[SimEvent] = []
+        self._queue: list[tuple[float, int, Message | str]] = []
 
         self.capacities: dict[str, int] = {pu.id: pu.channels for pu in scenario.pus}
         self.ctx = HandlerContext(
@@ -225,7 +216,7 @@ class World:
         )
 
         # A PU's state is its Offer; its t=0 Offer is also its ParamUpdate.
-        cpu_of_pu = self.plan.cpu_of_pu
+        cpu_of_pu = {pu: cpu for cpu, pus in self.plan.cpu_membership.items() for pu in pus}
         offers = [
             Offer(pu.id, cpu_of_pu.get(pu.id, pu.id), pu.channels, pu.price, pu.alloc_time)
             for pu in scenario.pus
@@ -245,21 +236,19 @@ class World:
 
         # Seed the run: PU parameter registrations delivered at t=0 in the
         # coalition topologies, and one wake per SU at its arrival time.
-        if WIRINGS[self.plan.topology].pu_coalitions:
+        if self.plan.wiring.pu_coalitions:
             for offer in offers:
                 message = Message(MessageKind.PARAM_UPDATE, offer.pu_id, offer.cpu_id, offer)
-                self._schedule(0.0, DELIVER, message=message)
+                self._schedule(0.0, message)
                 self.sent += 1
         for su in scenario.sus:
-            self._schedule(su.arrival_time, AGENT_WAKE, agent_id=su.id)
+            self._schedule(su.arrival_time, su.id)
 
-    def _schedule(
-        self, time: float, kind: str, message: Message | None = None, agent_id: str | None = None
-    ) -> None:
+    def _schedule(self, time: float, event: Message | str) -> None:
+        """Queue a delivery of ``event``, or a wake of the SU it names, at ``time``."""
         seq = self._seq
         self._seq = seq + 1
-        # seq is unique, so heap comparisons never reach the message
-        heapq.heappush(self._queue, SimEvent(time, seq, kind, message, agent_id))
+        heapq.heappush(self._queue, (time, seq, event))
 
     @property
     def pending(self) -> int:
@@ -269,18 +258,18 @@ class World:
         """Dispatch the single earliest (time, seq) event."""
         if not self._queue:
             raise ValueError("step on an empty event queue")
-        time, seq, kind, message, agent_id = heapq.heappop(self._queue)
+        time, seq, event = heapq.heappop(self._queue)
         self.clock = time
-        self.dispatched += 1
 
-        if kind == DELIVER:
-            agent_id = message.recipient
-            self.event_log.append(time, seq, message.sender, agent_id, message.kind)
+        if isinstance(event, Message):
+            agent_id = event.recipient
+            self.event_log.append(time, seq, event.sender, agent_id, event.kind)
             state = self.states.get(agent_id)
             if state is None:
                 raise ValueError(f"delivery to unknown agent {agent_id!r}")
-            result = handle(state, message, time, self.ctx)
+            result = handle(state, event, time, self.ctx)
         else:
+            agent_id = event
             self.event_log.append(time, seq, agent_id, agent_id, None)
             state = self.states.get(agent_id)
             if state is None:
@@ -305,13 +294,13 @@ class World:
                     f"delivery time overflows to inf: {message.kind.value} from "
                     f"{message.sender!r} to {message.recipient!r} at t={time!r}"
                 )
-            self._schedule(due, DELIVER, message)
+            self._schedule(due, message)
         self.sent += len(result.sends)
         return self
 
     def run_to_quiescence(self) -> RunReport:
         while self._queue:
-            if self.dispatched >= self.event_cap:
+            if len(self.event_log) >= self.event_cap:
                 raise SimulationCapExceeded(
                     f"event cap {self.event_cap} reached at t={self.clock:g} "
                     f"with {len(self._queue)} events pending"
@@ -324,10 +313,10 @@ class World:
             raise ValueError("report requested before quiescence")
         msg_counts = {kind.value: self.event_log.count(kind) for kind in MessageKind}
         delivered = sum(msg_counts.values())
-        plan = self.plan
+        scenario, plan = self.scenario, self.plan
         expected = expected_messages(
-            plan.topology, plan.aggregation, len(self.scenario.sus), len(plan.pu_ids),
-            len(plan.cpu_ids), sum(map(bool, plan.csu_membership.values())),
+            scenario.topology, scenario.aggregation, len(scenario.sus), len(scenario.pus),
+            len(plan.cpu_membership), sum(map(bool, plan.csu_membership.values())),
         )
         if not self.sent == delivered == expected:
             raise RuntimeError(
@@ -338,7 +327,7 @@ class World:
         # finished (completed_at None). Every finished SU counts in run_response.
         per_su: dict[str, float | None] = {}
         completions = []
-        for su in self.scenario.sus:
+        for su in scenario.sus:
             state = self.states[su.id]
             completed = state.completed_at
             if completed == math.inf:
@@ -351,12 +340,8 @@ class World:
                 completions.append(completed)
         run_response = None
         if completions:
-            run_response = max(completions) - min(su.arrival_time for su in self.scenario.sus)
-        registries = {
-            agent_id: dict(state.entries)
-            for agent_id, state in sorted(self.states.items())
-            if isinstance(state, ParamRegistry)
-        }
+            run_response = max(completions) - min(su.arrival_time for su in scenario.sus)
+        registries = {cpu: dict(self.states[cpu].entries) for cpu in sorted(plan.cpu_membership)}
         return RunReport(
             event_log=self.event_log,
             msg_counts=msg_counts,

@@ -47,6 +47,10 @@ class Wiring(NamedTuple):
     pu_coalitions: bool
     su_coalitions: bool
 
+    def asked(self, pus, cpus):
+        """Whom every ask goes to: ``cpus`` where PUs form coalitions, else ``pus``."""
+        return cpus if self.pu_coalitions else pus
+
 
 WIRINGS = {
     "no_coalition": Wiring(pu_coalitions=False, su_coalitions=False),
@@ -282,10 +286,9 @@ def _check_time_bound(scenario: Scenario, out: list[str]) -> None:
     if (wiring is None or not arrivals
             or not all(map(math.isfinite, (*arrivals, *asdict(timing).values())))):
         return  # no SU starts a chain, or the values are reported above
-    # The replies come from every PU-coalition, or from every PU where there are none.
-    reply = timing.cpu_select if wiring.pu_coalitions else timing.pu_reply
-    ranking = timing.rank_per_offer * len(
-        scenario.cpu_coordinators if wiring.pu_coalitions else scenario.pus)
+    # Whoever is asked replies, each at its own delay, and each reply is ranked.
+    reply = wiring.asked(timing.pu_reply, timing.cpu_select)
+    ranking = timing.rank_per_offer * len(wiring.asked(scenario.pus, scenario.cpu_coordinators))
     if wiring.su_coalitions:  # SuRequest, the call, the reply, and SuReply, which completes
         demands = len(scenario.sus) if scenario.aggregation else 1
         hops, completion = (0.0, timing.agg_per_demand * demands, reply, ranking), 0.0
@@ -328,8 +331,8 @@ def expected_messages(
             f"{topology} cannot have {su_count} SUs, {pu_count} PUs, {cpu_count} PU-coalitions, "
             f"{csu_count} SU-coalitions with members and aggregation {aggregation}")
     # Each ask (an SU's own, or its SU-coalition's per demand or per batch) goes
-    # to, and is answered by, every PU-coalition, or every PU where there are none.
-    targets = cpu_count if wiring.pu_coalitions else pu_count
+    # to, and is answered by, every agent the wiring asks.
+    targets = wiring.asked(pu_count, cpu_count)
     asks = csu_count if wiring.su_coalitions and aggregation else su_count
     registrations = pu_count if wiring.pu_coalitions else 0
     su_hops = 2 * su_count if wiring.su_coalitions else 0

@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .coalitions import (
     Membership, ParamRegistry, best_offer, form_coalitions, rank_offers, register_params
 )
-from .model import WIRINGS, Offer, Scenario, TimingConstants
+from .model import WIRINGS, Offer, Scenario, TimingConstants, Wiring
 
 # Unused here: perfbench/spans.py rebinds protocol.topsis, so the name must exist.
 from .topsis import topsis  # noqa: F401
@@ -189,20 +189,20 @@ AgentState = Union[Offer, SecondaryUserState, ParamRegistry, SuCoalitionState]
 
 @dataclass(frozen=True)
 class TopologyPlan:
-    """Static wiring for one run: memberships and broadcast targets."""
+    """Static wiring for one run: the memberships, each SU's SU-coalition, and
+    ``targets``, the sorted ids that every call for proposals goes to.
+    """
 
-    topology: str
+    wiring: Wiring
     aggregation: bool
-    pu_ids: tuple[str, ...]
-    cpu_ids: tuple[str, ...]
     cpu_membership: Membership
     csu_membership: Membership
-    cpu_of_pu: dict[str, str]
+    targets: tuple[str, ...]
     csu_of_su: dict[str, str]
 
 
 def topology_plan(scenario: Scenario) -> TopologyPlan:
-    """Resolve coalition memberships and per-agent message targets."""
+    """Resolve coalition memberships and whom each ask goes to."""
     wiring = WIRINGS[scenario.topology]
     cpu_membership: Membership = {}
     csu_membership: Membership = {}
@@ -219,13 +219,11 @@ def topology_plan(scenario: Scenario) -> TopologyPlan:
             scenario.memberships.csu if scenario.memberships else None,
         )
     return TopologyPlan(
-        topology=scenario.topology,
+        wiring=wiring,
         aggregation=scenario.aggregation,
-        pu_ids=tuple(sorted(pu.id for pu in scenario.pus)),
-        cpu_ids=tuple(sorted(cpu_membership)),
         cpu_membership=cpu_membership,
         csu_membership=csu_membership,
-        cpu_of_pu={m: cid for cid, members in cpu_membership.items() for m in members},
+        targets=tuple(sorted(wiring.asked([pu.id for pu in scenario.pus], cpu_membership))),
         csu_of_su={m: cid for cid, members in csu_membership.items() for m in members},
     )
 
@@ -328,13 +326,12 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
 
     me = state.agent_id
     demand = Demand(su_id=me, channels_requested=state.channels_requested)
-    wiring = WIRINGS[ctx.plan.topology]
-    if wiring.su_coalitions:
+    if ctx.plan.wiring.su_coalitions:
         # The SU-coalition asks for this SU and answers it with an SuReply.
         request = Message(MessageKind.SU_REQUEST, me, ctx.plan.csu_of_su[me], demand)
         return HandlerResult(state=replace(state, phase=SuPhase.WAITING), sends=[(request, 0.0)])
-    # The SU asks itself: every PU-coalition where PUs form them, else every PU.
-    targets = ctx.plan.cpu_ids if wiring.pu_coalitions else ctx.plan.pu_ids
+    # The SU asks the plan's targets itself.
+    targets = ctx.plan.targets
     if not targets:
         # nobody to query (e.g. no PUs exist): the request dies immediately
         return HandlerResult(state=replace(state, phase=SuPhase.UNSERVED, completed_at=now))
@@ -407,7 +404,7 @@ def _handle_csu(
         if not ctx.plan.aggregation:
             # Ask every PU-coalition about this one demand.
             kind, payload, delay = MessageKind.CFP_SINGLE, demand, ctx.timing.agg_per_demand
-            asks = {**state.asks, demand.su_id: Ask((demand,), len(ctx.plan.cpu_ids))}
+            asks = {**state.asks, demand.su_id: Ask((demand,), len(ctx.plan.targets))}
         elif complete:
             # Last expected demand: ask every PU-coalition about the whole
             # batch in one CFP, paying the per-demand aggregation cost.
@@ -415,18 +412,18 @@ def _handle_csu(
             by_arrival = sorted(requests, key=lambda td: (td[0], td[1].su_id))
             kind, payload = MessageKind.CFP, tuple(d for _, d in by_arrival)
             delay = ctx.timing.agg_per_demand * len(members)
-            asks = {None: Ask(payload, len(ctx.plan.cpu_ids))}
+            asks = {None: Ask(payload, len(ctx.plan.targets))}
         else:
             requests = ((now, demand), state.requests)
             return HandlerResult(state=replace(state, asked=asked, requests=requests))
-        sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.cpu_ids]
+        sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.targets]
         new_state = replace(state, asked=asked, requests=(), asks=asks)
         return HandlerResult(state=new_state, sends=sends)
 
     if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
         return _violation(state, me, f"unexpected {msg.kind.value}", now)
     reply: CoordinatorReply = msg.payload
-    key = None if ctx.plan.aggregation else reply.demand_ref
+    key = reply.demand_ref  # None for a batch
     if key not in state.asks:
         return _violation(state, me, f"{msg.kind.value} for ask {key!r}, which is not open", now)
     ask = state.asks[key]

@@ -161,6 +161,17 @@ class TestStudies:
         with pytest.raises(ValueError):
             experiment_spec("exp_v")
 
+    @pytest.mark.parametrize("su_count", [0, -3])
+    def test_su_sweep_below_one_rejected(self, su_count):
+        with pytest.raises(ValueError, match=f"su_sweep: counts must be >= 1, got {su_count}"):
+            experiment_spec("exp_iv", su_sweep=(5, su_count))
+
+    @pytest.mark.parametrize("split", [(0, 5), (2, 0), (-1, 3)])
+    def test_csu_splits_below_one_rejected(self, split):
+        spec = experiment_spec("exp_ii")
+        with pytest.raises(ValueError, match=f"csu_splits: counts must be >= 1, got {min(split)}"):
+            replace(spec, csu_splits=((1, 10), split))
+
     def test_simulated_totals_equal_closed_form_across_topologies(self):
         cases = [
             ("no_coalition", None, 0, (15,), 450),

@@ -23,7 +23,7 @@ from specnego import (
     run,
     validate,
 )
-from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent, SimEvent
+from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent
 from specnego.model import TOPOLOGIES, WIRINGS
 from specnego.protocol import SuPhase
 from specnego.reports import render_allocations_csv, render_events_jsonl, render_metrics_csv
@@ -119,7 +119,7 @@ class TestStep:
     def test_delivery_to_unknown_agent_fails(self):
         world = World(reference_scenario((1,)))
         bogus = Message(MessageKind.SU_REQUEST, "ghost1", "ghost2", Demand("ghost1", 1))
-        heapq.heappush(world._queue, SimEvent(0.0, 999, DELIVER, message=bogus))
+        heapq.heappush(world._queue, (0.0, 999, bogus))
         with pytest.raises(ValueError, match="unknown agent"):
             for _ in range(30):
                 world.step()
@@ -135,7 +135,7 @@ class TestStep:
         world = World(reference_scenario((1,)))
         offer = world.states["pu000"]  # a PU's state is its Offer
         extra = Message(MessageKind.PARAM_UPDATE, "pu000", offer.cpu_id, offer)
-        heapq.heappush(world._queue, SimEvent(0.0, 999, DELIVER, message=extra))
+        heapq.heappush(world._queue, (0.0, 999, extra))
         world.sent += 1
         with pytest.raises(RuntimeError, match="sent 28, delivered 28, closed form 27"):
             world.run_to_quiescence()
@@ -143,28 +143,16 @@ class TestStep:
 
 class TestRecords:
     def test_field_names_and_order(self):
-        assert SimEvent._fields == ("time", "seq", "kind", "message", "agent_id")
-        assert SimEvent._field_defaults == {"message": None, "agent_id": None}
         assert LoggedEvent._fields == (
             "time", "seq", "kind", "sender", "recipient", "payload_kind"
         )
 
     def test_records_are_immutable(self):
-        records = (
-            SimEvent(1.0, 0, AGENT_WAKE, agent_id="su0"),
-            LoggedEvent(1.0, 0, AGENT_WAKE, "su0", "su0", None),
-        )
-        for record in records:
-            with pytest.raises(AttributeError):
-                record.time = 2.0
-            with pytest.raises(AttributeError):
-                record.seq = 1
-
-    def test_keyword_construction(self):
-        message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 1))
-        event = SimEvent(3.0, 7, DELIVER, message=message)
-        assert (event.time, event.seq, event.kind) == (3.0, 7, DELIVER)
-        assert event.message is message and event.agent_id is None
+        record = LoggedEvent(1.0, 0, AGENT_WAKE, "su0", "su0", None)
+        with pytest.raises(AttributeError):
+            record.time = 2.0
+        with pytest.raises(AttributeError):
+            record.seq = 1
 
 
 class TestRun:
@@ -180,8 +168,12 @@ class TestRun:
             run(scenario)
 
     def test_event_cap_aborts_with_diagnostic(self):
-        with pytest.raises(SimulationCapExceeded, match="event cap 3"):
-            run(reference_scenario((1,)), event_cap=3)
+        world = World(reference_scenario((1,)), event_cap=3)
+        with pytest.raises(SimulationCapExceeded, match="event cap 3") as raised:
+            world.run_to_quiescence()
+        # the cap counts logged events, and the message names what is still queued
+        assert len(world.event_log) == 3
+        assert f"with {world.pending} events pending" in str(raised.value)
 
     def test_clock_is_monotone(self):
         report = run(reference_scenario((5, 5, 5)))
@@ -352,7 +344,7 @@ def test_property_valid_scenarios_run_to_quiescence(scenario):
     plan = world.plan
     assert report.total_messages == expected_messages(
         scenario.topology, scenario.aggregation, len(scenario.sus), len(scenario.pus),
-        len(plan.cpu_ids), sum(1 for members in plan.csu_membership.values() if members),
+        len(plan.cpu_membership), sum(1 for members in plan.csu_membership.values() if members),
     )
     assert report.protocol_violations == []
     assert set(report.per_su_response) == {su.id for su in scenario.sus}

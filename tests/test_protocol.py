@@ -17,6 +17,7 @@ from specnego import (
     topology_plan,
 )
 from specnego.coalitions import ParamRegistry, register_params
+from specnego.model import WIRINGS
 from specnego.protocol import (
     Ask,
     CoordinatorReply,
@@ -34,16 +35,14 @@ def make_offer(pu_id, channels=4, price=10.0, alloc_time=60.0, cpu_id="cpu0"):
                  alloc_time=alloc_time)
 
 
-def make_ctx(topology="cpu_csu", aggregation=True, cpu_ids=("cpu0",), pu_ids=(),
-             csu_of_su=None, capacities=None):
+def make_ctx(topology="cpu_csu", aggregation=True, targets=("cpu0",), csu_of_su=None,
+             capacities=None):
     plan = TopologyPlan(
-        topology=topology,
+        wiring=WIRINGS[topology],
         aggregation=aggregation,
-        pu_ids=tuple(pu_ids),
-        cpu_ids=tuple(cpu_ids),
         cpu_membership={},
         csu_membership={},
-        cpu_of_pu={},
+        targets=tuple(targets),
         csu_of_su=csu_of_su or {},
     )
     return HandlerContext(
@@ -165,7 +164,7 @@ class TestSuHandlers:
 
     def test_wake_broadcasts_in_flat_topologies(self):
         state = SecondaryUserState("su0", 2)
-        ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("p0", "p1", "p2"))
+        ctx = make_ctx(topology="no_coalition", targets=("p0", "p1", "p2"))
         result = handle_wake(state, 0.0, ctx)
         assert [m.recipient for m, _ in result.sends] == ["p0", "p1", "p2"]
         assert all(m.kind is MessageKind.CFP_SINGLE for m, _ in result.sends)
@@ -189,8 +188,7 @@ class TestSuHandlers:
     def test_local_ranking_after_last_reply(self):
         # no-coalition SU collects two offers, ranks them after the second,
         # and completes rank_per_offer * offers later
-        ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a", "b"),
-                       capacities={"a": 4, "b": 4})
+        ctx = make_ctx(topology="no_coalition", targets=("a", "b"), capacities={"a": 4, "b": 4})
         state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
         first = Message(MessageKind.CPU_OFFER, "a", "su0",
                         CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
@@ -204,8 +202,7 @@ class TestSuHandlers:
         assert len(result.allocations) == 1
 
     def test_unserved_when_no_feasible_offer(self):
-        ctx = make_ctx(topology="no_coalition", cpu_ids=(), pu_ids=("a",),
-                       capacities={"a": 4})
+        ctx = make_ctx(topology="no_coalition", targets=("a",), capacities={"a": 4})
         state = handle_wake(SecondaryUserState("su0", 9), 0.0, ctx).state
         message = Message(MessageKind.CPU_OFFER, "a", "su0",
                           CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
@@ -214,7 +211,7 @@ class TestSuHandlers:
         assert result.state.ask is None
 
     def test_no_offer_counts_as_a_reply_but_is_not_ranked(self):
-        ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0", "cpu1"), capacities={"a": 4})
+        ctx = make_ctx(topology="cpu_only", targets=("cpu0", "cpu1"), capacities={"a": 4})
         state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
         none = Message(MessageKind.CPU_NO_OFFER, "cpu0", "su0", CoordinatorReply(None, "su0"))
         result = handle(state, none, 20.0, ctx)
@@ -235,7 +232,7 @@ class TestSuHandlers:
         assert result.state is state and result.allocations == []
 
     def test_su_reply_to_an_su_asking_itself_is_violation(self):
-        ctx = make_ctx(topology="cpu_only", cpu_ids=("cpu0",))
+        ctx = make_ctx(topology="cpu_only", targets=("cpu0",))
         state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
         message = Message(MessageKind.SU_REPLY, "cpu0", "su0", make_offer("p0"))
         result = handle(state, message, 20.0, ctx)
@@ -249,10 +246,10 @@ def test_equal_offers_ranked_in_reply_order(asker):
     # whether the SU asks itself or its SU-coalition asks for that one demand.
     cpu_ids = ("cpu0", "cpu1", "cpu2")
     if asker == "su":
-        ctx = make_ctx(topology="cpu_only", cpu_ids=cpu_ids, capacities={"a": 4, "b": 4})
+        ctx = make_ctx(topology="cpu_only", targets=cpu_ids, capacities={"a": 4, "b": 4})
         state = handle_wake(SecondaryUserState("su0", 2), 0.0, ctx).state
     else:
-        ctx = make_ctx(aggregation=False, cpu_ids=cpu_ids, capacities={"a": 4, "b": 4})
+        ctx = make_ctx(aggregation=False, targets=cpu_ids, capacities={"a": 4, "b": 4})
         request = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
         state = handle(SuCoalitionState("csu0", ("su0",)), request, 10.0, ctx).state
     me = state.agent_id
@@ -357,7 +354,7 @@ class TestPuHandlers:
 class TestCsuHandlers:
     def test_single_member_triggers_cfp_batch(self):
         state = SuCoalitionState("csu0", ("su0",))
-        ctx = make_ctx(cpu_ids=("cpu0", "cpu1", "cpu2", "cpu3", "cpu4"))
+        ctx = make_ctx(targets=("cpu0", "cpu1", "cpu2", "cpu3", "cpu4"))
         message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
         result = handle(state, message, 10.0, ctx)
         assert result.state.asked == 0b1 and set(result.state.asks) == {None}
@@ -380,7 +377,7 @@ class TestCsuHandlers:
 
     def test_fifth_offer_releases_replies(self):
         cpu_ids = ("cpu0", "cpu1", "cpu2", "cpu3", "cpu4")
-        ctx = make_ctx(cpu_ids=cpu_ids, capacities={f"p{k}": 8 for k in range(5)})
+        ctx = make_ctx(targets=cpu_ids, capacities={f"p{k}": 8 for k in range(5)})
         state = SuCoalitionState(
             "csu0",
             tuple(f"su{i}" for i in range(3)),
@@ -419,7 +416,7 @@ class TestCsuHandlers:
         assert result.state is state
 
     def test_non_aggregated_forwards_each_demand(self):
-        ctx = make_ctx(aggregation=False, cpu_ids=("cpu0", "cpu1"),
+        ctx = make_ctx(aggregation=False, targets=("cpu0", "cpu1"),
                        capacities={"p0": 8})
         state = SuCoalitionState("csu0", ("su0", "su1"))
         message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
@@ -441,7 +438,7 @@ class TestCsuHandlers:
 
     def test_non_aggregated_coalition_reaches_done(self):
         cpu_ids = ("cpu0", "cpu1")
-        ctx = make_ctx(aggregation=False, cpu_ids=cpu_ids, capacities={"p0": 8, "p1": 8})
+        ctx = make_ctx(aggregation=False, targets=cpu_ids, capacities={"p0": 8, "p1": 8})
         state = SuCoalitionState("csu0", ("su0", "su1"))
         for su_id, t in (("su0", 10.0), ("su1", 110.0)):
             message = Message(MessageKind.SU_REQUEST, su_id, "csu0", Demand(su_id, 2))
@@ -467,7 +464,7 @@ class TestCsuHandlers:
 
     def per_demand_coalition(self):
         """A non-aggregated coalition of su0 and su1 with both demands forwarded."""
-        ctx = make_ctx(aggregation=False, cpu_ids=("cpu0", "cpu1"), capacities={"p0": 8})
+        ctx = make_ctx(aggregation=False, targets=("cpu0", "cpu1"), capacities={"p0": 8})
         state = SuCoalitionState("csu0", ("su0", "su1"))
         for su_id, t in (("su0", 10.0), ("su1", 110.0)):
             message = Message(MessageKind.SU_REQUEST, su_id, "csu0", Demand(su_id, 2))
@@ -506,6 +503,15 @@ class TestCsuHandlers:
         assert result.violation == "t=20: CpuOffer for ask None, which is not open at 'csu0'"
         assert result.state is state and result.sends == [] and result.allocations == []
 
+    def test_per_demand_reply_to_a_batch_is_violation(self):
+        # an aggregated coalition's open batch is settled only by a batch reply
+        ctx = make_ctx(capacities={"p0": 8})
+        state = handle(SuCoalitionState("csu0", ("su0",)), self.request("su0"), 10.0, ctx).state
+        assert set(state.asks) == {None}
+        result = handle(state, self.offer_for("su0"), 20.0, ctx)
+        assert result.violation == "t=20: CpuOffer for ask 'su0', which is not open at 'csu0'"
+        assert result.state is state and result.sends == [] and result.allocations == []
+
     @pytest.mark.parametrize("aggregation", [True, False])
     def test_settled_ask_is_dropped(self, aggregation):
         ctx = make_ctx(aggregation=aggregation, capacities={"p0": 8})
@@ -524,7 +530,7 @@ class TestCsuHandlers:
 
     @pytest.mark.parametrize("aggregation", [True, False])
     def test_second_request_from_a_member_is_violation(self, aggregation):
-        ctx = make_ctx(aggregation=aggregation, cpu_ids=("cpu0", "cpu1"))
+        ctx = make_ctx(aggregation=aggregation, targets=("cpu0", "cpu1"))
         state = SuCoalitionState("csu0", ("su0000", "su0001"))
         state = handle(state, self.request("su0000"), 10.0, ctx).state
         again = handle(state, self.request("su0000"), 20.0, ctx)
@@ -590,7 +596,8 @@ class TestTopologyPlan:
     def test_no_coalition_targets_every_pu(self):
         scenario = generate_scenario("no_coalition", pu_count=4, su_groups=(2,))
         plan = topology_plan(scenario)
-        assert plan.cpu_ids == () and len(plan.pu_ids) == 4
+        assert plan.cpu_membership == {}
+        assert plan.targets == ("pu000", "pu001", "pu002", "pu003")
 
     def test_cpu_csu_memberships(self):
         scenario = generate_scenario("cpu_csu", pu_count=15, cpu_count=5, su_groups=(5, 5, 5))
@@ -598,3 +605,4 @@ class TestTopologyPlan:
         assert all(len(m) == 3 for m in plan.cpu_membership.values())
         assert all(len(m) == 5 for m in plan.csu_membership.values())
         assert len(plan.csu_of_su) == 15
+        assert plan.targets == ("cpu00", "cpu01", "cpu02", "cpu03", "cpu04")
