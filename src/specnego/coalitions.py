@@ -11,8 +11,8 @@ alloc_time) is the one ranking of offers, for coordinators and SUs alike.
 The nearest coordinator is found by a pruned sweep rather than by scoring
 every pair: coordinators are sorted by x once per call, and each agent walks
 outward from its own x, always to the side with the smaller ``|dx|``,
-scoring each visited coordinator by ``(math.hypot(dx, dy), id)`` exactly as
-``Zone.distance_to`` does. The walk stops once the next ``|dx|`` exceeds the
+scoring each visited coordinator by ``(math.hypot(dx, dy), id)``, the one
+definition of distance. The walk stops once the next ``|dx|`` exceeds the
 best distance so far. This is exact, ties included: float subtraction is
 monotone in the coordinator's x, and ``math.hypot(dx, dy) >= |dx|``, so no
 skipped coordinator can win or tie.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .model import CRITERIA_SENSES, CRITERION_LABELS, Offer, Zone, check_override
@@ -137,7 +138,7 @@ def rank_offers(offers: Sequence[Offer], weights: Sequence[float]) -> list[Offer
     matrix = DecisionMatrix(
         alternatives=tuple(o.pu_id for o in offers),
         criteria=CRITERION_LABELS,
-        scores=tuple((o.channels, o.price, o.alloc_time) for o in offers),
+        scores=tuple(map(attrgetter(*CRITERION_LABELS), offers)),
         weights=tuple(weights),
         senses=CRITERIA_SENSES,
     )

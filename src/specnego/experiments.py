@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 from .kernel import run
 from .model import (
@@ -134,12 +135,12 @@ class MetricsTable:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully pinned configuration for one built-in study."""
+    """One built-in study's pinned configuration, over a fixed 15 PUs and 5 PU-coalitions."""
 
+    pu_count: ClassVar[int] = 15
+    cpu_count: ClassVar[int] = 5
     experiment_id: str
     seed: int = 1
-    pu_count: int = 15
-    cpu_count: int = 5
     su_sweep: tuple[int, ...] = ()
     csu_splits: tuple[tuple[int, int], ...] = ()  # (csu_count, sus_per_csu)
 

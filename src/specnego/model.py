@@ -18,7 +18,6 @@ __all__ = [
     "CRITERION_LABELS",
     "CRITERIA_SENSES",
     "DEFAULT_WEIGHTS",
-    "TOPOLOGIES",
     "WIRINGS",
     "Wiring",
     "Zone",
@@ -57,7 +56,6 @@ WIRINGS = {
     "cpu_only": Wiring(pu_coalitions=True, su_coalitions=False),
     "cpu_csu": Wiring(pu_coalitions=True, su_coalitions=True),
 }
-TOPOLOGIES = tuple(WIRINGS)
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,6 @@ class Zone:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
-
-    def distance_to(self, other: "Zone") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -115,18 +110,14 @@ class Coordinator:
 
 @dataclass(frozen=True)
 class Offer:
-    """A PU's terms, sent on by coordinator ``cpu_id`` (the PU itself when it answers directly)."""
+    """A PU's terms, sent on by coordinator ``cpu_id`` (the PU itself when it answers directly);
+    built from values already typed, so it converts none."""
 
     pu_id: str
     cpu_id: str
     channels: int
     price: float
     alloc_time: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", int(self.channels))
-        object.__setattr__(self, "price", float(self.price))
-        object.__setattr__(self, "alloc_time", float(self.alloc_time))
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,7 @@ def validate(scenario: Scenario) -> list[str]:
     """
     out: list[str] = []
 
-    if scenario.topology not in TOPOLOGIES:
+    if scenario.topology not in WIRINGS:
         out.append(f"topology: unknown topology {scenario.topology!r}")
     if not isinstance(scenario.seed, int) or isinstance(scenario.seed, bool) or scenario.seed < 0:
         out.append(f"seed: must be a non-negative integer, got {scenario.seed!r}")

@@ -7,8 +7,8 @@ Four agent kinds exchange seven message kinds across three wiring modes:
 * ``cpu_only``     -- PUs register with PU-coalition coordinators; every SU
   queries every coordinator and ranks the returned best offers.
 * ``cpu_csu``      -- the full intermediated flow: SU-coalition coordinators
-  collect member demands (optionally aggregating them into one call for
-  proposals per PU-coalition), rank the returned offers, assign them to
+  collect member demands, ask every PU-coalition about them (per demand, or
+  aggregated into one batch), rank the returned offers, assign them to
   demands, and reply to their members.
 
 Each agent's state holds each fact once:
@@ -24,10 +24,10 @@ Each agent's state holds each fact once:
 
 Every SU-side TOPSIS decision ends one :class:`Ask`: a call for proposals to
 a fixed set of agents, made by an SU for itself (to every PU or PU-coalition)
-or by its SU-coalition (per demand or per aggregated batch). Each reply is
-added in O(1); the last one *settles* the ask: its real offers are ranked in
-reply order by ``rank_offers`` and granted to its demands in order, at
-``rank_per_offer`` per offer ranked.
+or by its SU-coalition for a batch of demands (per demand, a batch of one).
+Each reply is added in O(1); the last one *settles* the ask: its real offers
+are ranked in reply order by ``rank_offers`` and granted to its demands in
+order, at ``rank_per_offer`` per offer ranked.
 
 Handlers are pure: given the same (state, message, time, context) they
 return the same new state and outgoing messages. All world mutation (live
@@ -388,6 +388,8 @@ def _handle_cpu(
 def _handle_csu(
     state: SuCoalitionState, msg: Message, now: float, ctx: HandlerContext
 ) -> HandlerResult:
+    """One ask path: per demand, each request asks about a batch of one (keyed by
+    its SU); aggregating, the last member's request asks about them all (keyed None)."""
     me = state.agent_id
     if msg.kind is MessageKind.SU_REQUEST:
         demand: Demand = msg.payload
@@ -400,23 +402,20 @@ def _handle_csu(
         if demand.su_id != sender:
             return _violation(state, me, f"SuRequest from {sender!r} for another SU", now)
         asked = state.asked | 1 << index
-        complete = asked == (1 << len(members)) - 1
         if not ctx.plan.aggregation:
-            # Ask every PU-coalition about this one demand.
-            kind, payload, delay = MessageKind.CFP_SINGLE, demand, ctx.timing.agg_per_demand
-            asks = {**state.asks, demand.su_id: Ask((demand,), len(ctx.plan.targets))}
-        elif complete:
-            # Last expected demand: ask every PU-coalition about the whole
-            # batch in one CFP, paying the per-demand aggregation cost.
-            requests = _in_order(((now, demand), state.requests))
-            by_arrival = sorted(requests, key=lambda td: (td[0], td[1].su_id))
-            kind, payload = MessageKind.CFP, tuple(d for _, d in by_arrival)
-            delay = ctx.timing.agg_per_demand * len(members)
-            asks = {None: Ask(payload, len(ctx.plan.targets))}
+            # Ask about this one demand: a batch of one.
+            kind, key, payload, demands = MessageKind.CFP_SINGLE, demand.su_id, demand, (demand,)
         else:
             requests = ((now, demand), state.requests)
-            return HandlerResult(state=replace(state, asked=asked, requests=requests))
+            if asked != (1 << len(members)) - 1:
+                return HandlerResult(state=replace(state, asked=asked, requests=requests))
+            # Last expected demand: ask about the whole batch in one CFP.
+            by_arrival = sorted(_in_order(requests), key=lambda td: (td[0], td[1].su_id))
+            kind, key = MessageKind.CFP, None
+            payload = demands = tuple(d for _, d in by_arrival)
+        delay = ctx.timing.agg_per_demand * len(demands)
         sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.targets]
+        asks = {**state.asks, key: Ask(demands, len(ctx.plan.targets))}
         new_state = replace(state, asked=asked, requests=(), asks=asks)
         return HandlerResult(state=new_state, sends=sends)
 

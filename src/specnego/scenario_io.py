@@ -21,9 +21,11 @@ error)::
     }
 
 An agent record has exactly the fields of :class:`model.PrimaryUser`,
-:class:`model.SecondaryUser` or :class:`model.Coordinator`, each checked by
-its annotation. Criterion senses are fixed (maximize channels and allocation
-time, minimize price) and therefore not part of the document.
+:class:`model.SecondaryUser` or :class:`model.Coordinator`, and ``timing``
+any of those of :class:`model.TimingConstants`; one record reader checks each
+field by its annotation. Values, the count of ``weights`` included, are left
+to :func:`model.validate`. Criterion senses are fixed (maximize channels and
+allocation time, minimize price) and therefore not part of the document.
 """
 
 from __future__ import annotations
@@ -53,14 +55,13 @@ class ScenarioParseError(ValueError):
 
 
 _TOP_KEYS = {f.name for f in fields(Scenario)}
-_TIMING_KEYS = tuple(f.name for f in fields(TimingConstants))  # declaration order
 
 
 def _fail(path: str, message: str) -> None:
     raise ScenarioParseError(f"{path}: {message}")
 
 
-def _check_keys(obj: dict, allowed: Collection[str], required: set[str], path: str) -> None:
+def _check_keys(obj: dict, allowed: Collection[str], required: Collection[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             _fail(f"{path}.{key}" if path else key, "unknown field")
@@ -107,30 +108,31 @@ _CONVERTERS = {str: _as_str, int: _as_int, float: _as_number, Zone: _as_zone}
 
 
 @cache
-def _record_fields(cls) -> tuple[tuple[str, Callable], ...]:
-    """Each field of an agent record with the converter for its annotation."""
+def _record_fields(cls) -> dict[str, Callable]:
+    """Each field of a record class, in declaration order, to the converter for its annotation."""
     hints = get_type_hints(cls)
-    return tuple((f.name, _CONVERTERS[hints[f.name]]) for f in fields(cls))
+    return {f.name: _CONVERTERS[hints[f.name]] for f in fields(cls)}
+
+
+def _parse_record(value, cls, path: str, required: bool = True):
+    """A ``cls`` record from an object; unless ``required``, a field left out takes its default."""
+    converters = _record_fields(cls)
+    obj = _as_dict(value, path)
+    _check_keys(obj, converters, converters if required else (), path)
+    return cls(**{n: conv(obj[n], f"{path}.{n}") for n, conv in converters.items() if n in obj})
 
 
 def _parse_records(doc: dict, key: str, cls) -> tuple:
     """The ``cls`` records of array ``doc[key]`` (default empty), all fields required."""
-    converters = _record_fields(cls)
-    names = {name for name, _ in converters}
-    out = []
-    for i, item in enumerate(_as_list(doc.get(key, []), key)):
-        path = f"{key}[{i}]"
-        obj = _as_dict(item, path)
-        _check_keys(obj, names, names, path)
-        out.append(cls(**{name: conv(obj[name], f"{path}.{name}") for name, conv in converters}))
-    return tuple(out)
+    items = _as_list(doc.get(key, []), key)
+    return tuple(_parse_record(item, cls, f"{key}[{i}]") for i, item in enumerate(items))
 
 
 def _record_docs(records) -> list[dict]:
     """Agent records as document objects: fields in declaration order, a zone as [x, y]."""
     return [
         {name: [v.x, v.y] if isinstance(v := getattr(r, name), Zone) else v
-         for name, _ in _record_fields(type(r))}
+         for name in _record_fields(type(r))}
         for r in records
     ]
 
@@ -160,17 +162,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
     aggregation = _as_bool(doc.get("aggregation", True), "aggregation")
 
     weights_doc = _as_list(doc.get("weights", list(DEFAULT_WEIGHTS)), "weights")
-    if len(weights_doc) != 3:
-        _fail("weights", f"expected 3 values, got {len(weights_doc)}")
     weights = tuple(_as_number(w, f"weights[{j}]") for j, w in enumerate(weights_doc))
-
-    timing_doc = _as_dict(doc.get("timing", {}), "timing")
-    _check_keys(timing_doc, _TIMING_KEYS, set(), "timing")
-    timing = TimingConstants(**{
-        key: _as_number(timing_doc[key], f"timing.{key}")
-        for key in _TIMING_KEYS
-        if key in timing_doc
-    })
+    timing = _parse_record(doc.get("timing", {}), TimingConstants, "timing", required=False)
 
     pus = _parse_records(doc, "pus", PrimaryUser)
     sus = _parse_records(doc, "sus", SecondaryUser)

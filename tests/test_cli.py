@@ -51,6 +51,14 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "duplicate" in err and "'a'" in err
 
+    def test_weights_count_is_a_validation_failure(self, tmp_path, capsys):
+        doc = json.loads(scenario_to_json(generate_scenario("no_coalition", 2, su_groups=(1,))))
+        doc["weights"] = [0.5, 0.5]
+        path = tmp_path / "two_weights.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "weights: expected 3 values, got 2\n"
+
     def test_parse_failure(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
@@ -69,6 +77,18 @@ class TestRunCommand:
         assert "messages=75" in stdout
         for name in ("metrics.csv", "events.jsonl", "allocations.csv"):
             assert (out / name).exists()
+
+    def test_su_with_nobody_to_ask(self, tmp_path, capsys):
+        # no PUs: both SUs are unserved on arrival, at t=5 and t=7
+        doc = json.loads(scenario_to_json(generate_scenario("no_coalition", 0, su_groups=(2,))))
+        for su, arrival in zip(doc["sus"], (5.0, 7.0)):
+            su["arrival_time"] = arrival
+        path = tmp_path / "no_pus.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "messages=0 run_response=2 quiescent_at=7" in capsys.readouterr().out
+        metrics = (tmp_path / "out" / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        assert "unserved,2" in metrics
 
     def test_event_cap_env(self, scenario_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPECNEGO_EVENT_CAP", "3")
@@ -154,6 +174,10 @@ class TestTopsisCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "alternative,closeness,rank"
         assert len(lines) == 3
+
+    def test_unreadable_matrix(self, tmp_path, capsys):
+        assert main(["topsis", str(tmp_path / "nope.csv")]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"cannot read {tmp_path / 'nope.csv'}: ")
 
     def test_bad_matrix(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

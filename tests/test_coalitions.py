@@ -114,7 +114,9 @@ def oracle_coalitions(agents, coordinators):
     """Score every agent x coordinator pair: nearest wins, ties by smaller id."""
     membership = {cid: [] for cid, _ in coordinators}
     for aid, zone in agents:
-        best_cid = min(coordinators, key=lambda c: (zone.distance_to(c[1]), c[0]))[0]
+        best_cid = min(
+            coordinators, key=lambda c: (math.hypot(zone.x - c[1].x, zone.y - c[1].y), c[0])
+        )[0]
         membership[best_cid].append(aid)
     return {cid: sorted(members) for cid, members in membership.items()}
 

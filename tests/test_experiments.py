@@ -1,6 +1,6 @@
 """Closed-form accounting, generators, and the four built-in studies."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -74,6 +74,10 @@ class TestGenerateScenario:
             generate_scenario("cpu_csu", pu_count=15, cpu_count=5, su_groups=(5, 5, 5)),
         ):
             assert validate(scenario) == []
+
+    def test_unknown_topology_rejected(self):
+        with pytest.raises(ValueError, match="unknown topology 'mesh'"):
+            generate_scenario("mesh", pu_count=3, su_groups=(2,))
 
     def test_deterministic_for_a_seed(self):
         a = generate_scenario("cpu_csu", pu_count=15, cpu_count=5, su_groups=(5,), seed=9)
@@ -171,6 +175,14 @@ class TestStudies:
         spec = experiment_spec("exp_ii")
         with pytest.raises(ValueError, match=f"csu_splits: counts must be >= 1, got {min(split)}"):
             replace(spec, csu_splits=((1, 10), split))
+
+    def test_topology_size_is_fixed(self):
+        # 15 PUs over 5 PU-coalitions in every study: constants, not fields
+        spec = experiment_spec("exp_i")
+        assert (spec.pu_count, spec.cpu_count) == (15, 5)
+        assert [f.name for f in fields(spec)] == ["experiment_id", "seed", "su_sweep", "csu_splits"]
+        with pytest.raises(TypeError):
+            replace(spec, pu_count=-2)
 
     def test_simulated_totals_equal_closed_form_across_topologies(self):
         cases = [

@@ -67,6 +67,15 @@ class TestParseScenario:
         scenario = parse_scenario(json.dumps(doc))
         assert validate(scenario) == []
 
+    def test_weights_count_reported_by_validate(self):
+        # the count is a value problem, listed with the scenario's others
+        doc = json.loads(MINIMAL_DOC)
+        doc["weights"] = [0.5, 0.5]
+        doc["sus"][0]["id"] = "pu0"
+        assert validate(parse_scenario(json.dumps(doc))) == [
+            "sus[0].id: duplicate id 'pu0'", "weights: expected 3 values, got 2",
+        ]
+
     def test_duplicate_id_reported_by_validate(self):
         doc = json.loads(MINIMAL_DOC)
         doc["sus"][0]["id"] = "pu0"
@@ -199,6 +208,10 @@ class TestMatrixCsv:
         lines = text.strip().splitlines()
         assert lines[0] == "alternative,closeness,rank"
         assert lines[1].startswith("pu1,") and lines[1].endswith(",1")
+
+    def test_no_criteria(self):
+        with pytest.raises(ValueError, match="header row declares no criteria"):
+            parse_matrix_csv("alternative\nweights\nsenses\nx\n")
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least one alternative"):
@@ -479,6 +492,18 @@ class TestCharts:
         assert "<circle" in svg
         svg = render_chart(table, "bar", "x", "y")
         assert "<rect" in svg
+
+    def test_all_zero_column_plots_on_the_axis(self):
+        # no positive value: the y scale falls back to 1 (x 1.05 headroom)
+        table = MetricsTable("t", (), ("x", "y"), ((1, 0.0), (2, 0.0)))
+        svg = render_chart(table, "line", "x", "y")
+        assert svg.count('cy="370.00"') == 2 and ">1.05</text>" in svg
+
+    def test_bar_series_missing_a_category(self):
+        rows = (("a", 1, 5.0), ("a", 2, 6.0), ("b", 1, 7.0))  # b has no bar at x=2
+        table = MetricsTable("t", (), ("s", "x", "y"), rows)
+        svg = render_chart(table, "bar", "x", "y", series="s")
+        assert svg.count("<rect") == 1 + 3 + 2  # background + bars + legend
 
     def test_empty_table_rejected(self):
         table = MetricsTable("t", (), ("x", "y"), ())

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specnego.kernel
 from specnego import (
+    Allocation,
     Coordinator,
     Demand,
     MembershipOverride,
@@ -24,8 +26,8 @@ from specnego import (
     validate,
 )
 from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent
-from specnego.model import TOPOLOGIES, WIRINGS
-from specnego.protocol import SuPhase
+from specnego.model import WIRINGS
+from specnego.protocol import HandlerResult, SuPhase
 from specnego.reports import render_allocations_csv, render_events_jsonl, render_metrics_csv
 
 
@@ -38,6 +40,12 @@ def reference_scenario(su_groups=(1,), aggregation=True, seed=1):
 
 def deliveries(report, kind):
     return [e for e in report.event_log if e.payload_kind == kind]
+
+
+def direct_scenario(pus=(PrimaryUser("pu0", Zone(0, 0), 4, 10.0, 60.0),), arrivals=(0.0,)):
+    """A ``no_coalition`` scenario: ``pus``, and one SU ``su<i>`` per arrival time."""
+    sus = tuple(SecondaryUser(f"su{i}", Zone(0, 1 + i), 1, t) for i, t in enumerate(arrivals))
+    return Scenario(topology="no_coalition", pus=pus, sus=sus)
 
 
 class TestHandTrace:
@@ -123,6 +131,26 @@ class TestStep:
         with pytest.raises(ValueError, match="unknown agent"):
             for _ in range(30):
                 world.step()
+
+    def test_handler_violation_is_recorded(self):
+        # pu0 never handles an SuReply; the kernel records what its handler says
+        world = World(direct_scenario())
+        world._schedule(0.0, Message(MessageKind.SU_REPLY, "su0", "pu0", None))
+        while world.pending:
+            world.step()
+        assert world.violations == ["t=0: unexpected SuReply at 'pu0'"]
+        # the injected message was never sent, so the totals cannot agree
+        with pytest.raises(RuntimeError, match="message conservation broken"):
+            world.report()
+
+    def test_allocation_beyond_capacity_is_refused(self, monkeypatch):
+        # assign_offers never over-grants, so a stub handler must: pu0 has 4
+        def over_grant(state, message, now, ctx):
+            return HandlerResult(state, allocations=[Allocation("su0", state, 5)])
+
+        monkeypatch.setattr(specnego.kernel, "handle", over_grant)
+        with pytest.raises(RuntimeError, match="capacity of 'pu0' driven negative at t=10"):
+            run(direct_scenario())
 
     def test_report_before_quiescence_fails(self):
         world = World(reference_scenario((1,)))
@@ -247,6 +275,14 @@ class TestRun:
         assert report.msg_counts["ParamUpdate"] == 6
         assert report.protocol_violations == []
 
+    def test_su_with_nobody_to_ask(self):
+        # no PUs: each SU is unserved at its arrival and no message is sent
+        report = run(direct_scenario(pus=(), arrivals=(5.0, 7.0)))
+        assert report.total_messages == 0
+        assert report.per_su_response == {"su0": None, "su1": None}
+        assert report.run_response == 2.0
+        assert report.quiescent_at == 7.0
+
     def test_non_aggregated_flow(self):
         report = run(reference_scenario((5, 5, 5), aggregation=False))
         assert report.total_messages == 15 + 2 * 15 + 2 * 15 * 5 == 195
@@ -277,7 +313,7 @@ def override(draw, members, coordinators):
 
 @st.composite
 def arbitrary_scenarios(draw):
-    topology = draw(st.sampled_from(TOPOLOGIES))
+    topology = draw(st.sampled_from(tuple(WIRINGS)))
     wiring = WIRINGS[topology]
     n_pu = draw(st.integers(min_value=0 if topology == "no_coalition" else 1, max_value=6))
     n_su = draw(st.integers(min_value=0, max_value=6))

@@ -20,7 +20,7 @@ from specnego import (
     run,
     validate,
 )
-from specnego.model import TOPOLOGIES, WIRINGS
+from specnego.model import WIRINGS
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -113,6 +113,17 @@ class TestValidate:
         assert any("weights[1]" in p for p in problems)
         assert any("timing.latency" in p for p in problems)
 
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"pus": (PrimaryUser("pu0", Zone(1, 0), 4, 10.0, 0.0),)},
+         "pus[0].alloc_time: must be > 0 and finite, got 0.0"),
+        ({"pus": (PrimaryUser("pu0", Zone(1, 0), 4, 10.0, math.nan),)},
+         "pus[0].alloc_time: must be > 0 and finite, got nan"),
+        ({"weights": (0.5, 0.5)}, "weights: expected 3 values, got 2"),
+        ({"weights": (0.2, 0.5, 0.3, 0.1)}, "weights: expected 3 values, got 4"),
+    ])
+    def test_the_one_problem_is_named_exactly(self, overrides, problem):
+        assert validate(small_scenario(**overrides)) == [problem]
+
     def test_negative_seed(self):
         assert any("seed" in p for p in validate(small_scenario(seed=-1)))
 
@@ -171,7 +182,7 @@ huge = st.one_of(
 
 @st.composite
 def huge_timed_scenarios(draw) -> Scenario:
-    topology = draw(st.sampled_from(TOPOLOGIES))
+    topology = draw(st.sampled_from(tuple(WIRINGS)))
     n_pus, n_sus = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n_cpus = 0 if topology == "no_coalition" else draw(st.integers(1, 3))
     n_csus = draw(st.integers(1, 2)) if topology == "cpu_csu" else 0
@@ -244,9 +255,6 @@ class TestTimeBound:
 
 
 class TestModelTypes:
-    def test_zone_distance(self):
-        assert Zone(0, 0).distance_to(Zone(3, 4)) == 5.0
-
     def test_scenario_is_immutable(self):
         scenario = small_scenario()
         with pytest.raises(dataclasses.FrozenInstanceError):

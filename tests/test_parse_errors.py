@@ -3,8 +3,9 @@
 Each agent section (``pus``, ``sus``, ``cpu_coordinators``,
 ``csu_coordinators``) is checked field by field: a missing field, a value of
 the wrong type, and an extra key, plus a record that is not an object and a
-section that is not an array. The messages are pinned verbatim, so a change
-to how records are parsed cannot change what a user is told.
+section that is not an array. ``timing`` is read by the same record reader,
+with every field optional. The messages are pinned verbatim, so a change to
+how records are parsed cannot change what a user is told.
 """
 
 import copy
@@ -91,6 +92,17 @@ SECTION_CASES = [
 ]
 
 
+# (timing value, expected error): timing is read like a record whose every
+# field is optional
+TIMING_CASES = [
+    ([], "timing: expected an object, got list"),
+    ({"latency": "x"}, "timing.latency: expected a number, got 'x'"),
+    ({"pu_reply": True}, "timing.pu_reply: expected a number, got True"),
+    ({"foo": 1}, "timing.foo: unknown field"),
+    ({"latency": "x", "foo": 1}, "timing.foo: unknown field"),
+]
+
+
 def _error(doc) -> str:
     with pytest.raises(ScenarioParseError) as info:
         parse_scenario(json.dumps(doc))
@@ -118,6 +130,13 @@ def test_record_defect(section, record, expected):
 def test_section_defect(section, value, expected):
     doc = copy.deepcopy(BASE)
     doc[section] = value
+    assert _error(doc) == expected
+
+
+@pytest.mark.parametrize("value, expected", TIMING_CASES)
+def test_timing_defect(value, expected):
+    doc = copy.deepcopy(BASE)
+    doc["timing"] = value
     assert _error(doc) == expected
 
 

@@ -266,6 +266,18 @@ def test_equal_offers_ranked_in_reply_order(asker):
         assert [(m.recipient, m.payload) for m, _ in result.sends] == [("su0", make_offer("b"))]
 
 
+@pytest.mark.parametrize("state, message", [
+    (make_offer("p0", cpu_id="p0"), Message(MessageKind.CFP, "csu0", "p0", ())),
+    (ParamRegistry("cpu0", ("pu0",)), Message(MessageKind.SU_REPLY, "csu0", "cpu0", None)),
+    (SuCoalitionState("csu0", ("su0",)),
+     Message(MessageKind.PARAM_UPDATE, "pu0", "csu0", make_offer("pu0"))),
+], ids=["pu", "cpu", "csu"])
+def test_kind_the_agent_never_handles_is_violation(state, message):
+    result = handle(state, message, 7.0, make_ctx())
+    assert result.violation == f"t=7: unexpected {message.kind.value} at {message.recipient!r}"
+    assert result.state is state and result.sends == [] and result.allocations == []
+
+
 class TestCpuHandlers:
     def test_param_update_fills_registry(self):
         state = ParamRegistry("cpu0", ("pu0",))
