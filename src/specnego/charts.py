@@ -63,7 +63,7 @@ def _axes_and_y_grid(y_max: float) -> list[str]:
         f'y2="{MARGIN_TOP + PLOT_H}" stroke="black"/>',
     ]
     for tick in _y_ticks(y_max):
-        py = MARGIN_TOP + PLOT_H - (tick / y_max) * PLOT_H if y_max else MARGIN_TOP + PLOT_H
+        py = MARGIN_TOP + PLOT_H - (tick / y_max) * PLOT_H
         parts.append(
             f'<line x1="{MARGIN_LEFT}" y1="{_fmt(py)}" x2="{MARGIN_LEFT + PLOT_W}" '
             f'y2="{_fmt(py)}" stroke="#dddddd"/>'

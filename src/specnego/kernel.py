@@ -1,24 +1,32 @@
 """Deterministic discrete-event kernel.
 
-A run is a value: a virtual clock, a (time, seq)-ordered event queue, and
-the agent states. Messages emitted by a handler at time t with send delay d
-are delivered exactly at t + d + latency. Two wake/delivery events at the
-same time dispatch in insertion order (strictly increasing ``seq``), which
-makes every run bit-reproducible: no wall clock, no RNG, no unordered
-iteration anywhere in dispatch.
+A simulation is a value: a virtual clock, a (time, seq)-ordered event queue,
+and the agent states. Messages emitted by a handler at time t with send
+delay d are delivered exactly at t + d + latency. Two wake/delivery events
+at the same time dispatch in insertion order (strictly increasing ``seq``),
+which makes every simulation bit-reproducible: no wall clock, no RNG, no
+unordered iteration anywhere in dispatch.
 
 Dispatch hands each event to its agent's handler, stores the returned state
 without inspecting it, and applies the returned allocations and sends.
 :meth:`World.report` reads each SU's outcome from its final state.
 
-A queue entry is ``(time, seq, event)``, where the event is the
-:class:`Message` to deliver or the id of the SU to wake; ``seq`` is unique,
-so ordering never compares events. An entry is dropped once dispatched.
-The run's record of dispatched events is an :class:`EventLog`: five typed
-columns (time, seq, sender, recipient, payload code) with agent ids interned
-in a first-seen table, about 25 bytes per event, so a run near the 10M-event
-cap keeps its log in about 250 MB. Rows read back as :class:`LoggedEvent`.
-The event cap counts logged events: every dispatched event is logged first.
+Events come in *runs*: the events due at the same time, bit for bit, with
+consecutive seqs, as every fan-out of the negotiation produces. A queue
+entry is one run, ``(time, first seq, events)``, where an event is the
+:class:`Message` to deliver or the id of the SU to wake. A new event joins
+the newest run while it is due at that run's time. That is exact: it takes
+the next seq, and no other entry holds a seq inside the run, so none sorts
+between its events. Seqs are unique, so ordering never compares events. A
+run is dropped once its last event is dispatched.
+
+The record of dispatched events is an :class:`EventLog`: the time and seq
+once per run, and per event a sender, a recipient (agent ids interned in a
+first-seen table) and a payload code, about 9 bytes per event plus 16 per
+run and never more than 25 per event, so a simulation near the 10M-event
+cap keeps its log in about 90 MB (250 MB if no two events shared a run).
+Rows read back as :class:`LoggedEvent`. The event cap counts logged
+events: every dispatched event is logged first.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, count, islice
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
@@ -73,10 +83,18 @@ class LoggedEvent(NamedTuple):
 
 
 # An event's payload code: 0 for a wake, 1 + the MessageKind's position for a
-# delivery. The code alone gives the event's (kind, payload_kind).
+# delivery, plus _FIRST on the first event of a run. The code alone gives the
+# event's (kind, payload_kind): _KINDS[code % _FIRST].
 _CODES: dict[MessageKind | None, int] = {None: 0}
 _CODES.update((kind, code) for code, kind in enumerate(MessageKind, 1))
 _KINDS = ((AGENT_WAKE, None),) + tuple((DELIVER, kind.value) for kind in MessageKind)
+_FIRST = len(_KINDS)
+_STARTS = bytes(_FIRST) + bytes([1]) * _FIRST  # code -> 1 on a run's first event
+
+
+def _same_time(a: float, b: float) -> bool:
+    """Whether two times are bit-identical: ``==``, and -0.0 is not 0.0."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
 class _Interner(dict):
@@ -98,17 +116,21 @@ class _Interner(dict):
 
 
 class EventLog:
-    """The dispatched events of a run, one typed column per field.
+    """A simulation's dispatched events, in runs of one time and consecutive seqs.
 
-    Reads back as a sequence of :class:`LoggedEvent`: ``len``, iteration,
-    integer indexing and ``==``. Two logs are equal when their rows are.
+    Per run, its time and its *offset*, the seq of its first event minus that
+    event's row (row i of the run has seq i + offset); per event, typed
+    columns of sender, recipient and payload code. Reads back as a sequence
+    of :class:`LoggedEvent`: ``len``, iteration, integer indexing (which walks
+    the rows before the index) and ``==``. Two logs are equal when their rows
+    are.
     """
 
-    __slots__ = ("_times", "_seqs", "_senders", "_recipients", "_codes", "_ids")
+    __slots__ = ("_times", "_offsets", "_senders", "_recipients", "_codes", "_ids")
 
     def __init__(self) -> None:
         self._times = array("d")
-        self._seqs = array("q")
+        self._offsets = array("q")
         self._senders = array("i")
         self._recipients = array("i")
         self._codes = array("B")
@@ -118,21 +140,29 @@ class EventLog:
         self, time: float, seq: int, sender: str, recipient: str, payload: MessageKind | None
     ) -> None:
         """Log one event: a delivery of a ``payload`` message, or a wake when it is None."""
-        ids = self._ids
-        self._times.append(time)
-        self._seqs.append(seq)
+        ids, codes, code = self._ids, self._codes, _CODES[payload]
+        offset = seq - len(codes)
+        if not (codes and offset == self._offsets[-1] and _same_time(time, self._times[-1])):
+            self._times.append(time)
+            self._offsets.append(offset)
+            code += _FIRST
         self._senders.append(ids[sender])
         self._recipients.append(ids[recipient])
-        self._codes.append(_CODES[payload])
+        codes.append(code)
 
     def __len__(self) -> int:
         return len(self._codes)
 
     def __getitem__(self, i: int) -> LoggedEvent:
+        n = len(self._codes)
+        if not -n <= i < n:
+            raise IndexError("event log index out of range")
+        i %= n
+        run = next(islice(self._runs(), i, None))
         ids = self._ids.names
-        kind, payload_kind = _KINDS[self._codes[i]]
+        kind, payload_kind = _KINDS[self._codes[i] % _FIRST]
         return LoggedEvent(
-            self._times[i], self._seqs[i], kind,
+            self._times[run], i + self._offsets[run], kind,
             ids[self._senders[i]], ids[self._recipients[i]], payload_kind,
         )
 
@@ -142,8 +172,8 @@ class EventLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        # The id table follows from the rows (ids are numbered in order of
-        # first appearance), so equal rows mean equal columns.
+        # The runs and the id table follow from the rows (ids are numbered in
+        # order of first appearance), so equal rows mean equal columns.
         return all(
             getattr(self, column) == getattr(other, column) for column in self.__slots__
         )
@@ -151,7 +181,14 @@ class EventLog:
     def count(self, payload: MessageKind | None) -> int:
         """The number of deliveries of ``payload`` messages, or of wakes when it is None."""
         # bytes.count scans at C speed; array.count boxes every item
-        return self._codes.tobytes().count(_CODES[payload])
+        codes, code = self._codes.tobytes(), _CODES[payload]
+        return codes.count(code) + codes.count(code + _FIRST)
+
+    def _runs(self) -> Iterator[int]:
+        """Each row's run index, lazily."""
+        runs = accumulate(map(_STARTS.__getitem__, self._codes), initial=-1)
+        next(runs)  # the initial value, before the first row
+        return runs
 
     def rows(self, encode: Callable[[str | None], object]) -> Iterator[tuple]:
         """Every row as ``(time, seq, kind, sender, recipient, payload_kind)``, lazily.
@@ -160,11 +197,11 @@ class EventLog:
         value per call rather than once per row.
         """
         ids = [encode(agent_id) for agent_id in self._ids.names]
-        kinds = [encode(kind) for kind, _ in _KINDS]
-        payloads = [encode(payload_kind) for _, payload_kind in _KINDS]
+        kinds = [encode(kind) for kind, _ in _KINDS] * 2
+        payloads = [encode(payload_kind) for _, payload_kind in _KINDS] * 2
         return zip(
-            self._times,
-            self._seqs,
+            map(self._times.__getitem__, self._runs()),
+            map(add, count(), map(self._offsets.__getitem__, self._runs())),
             map(kinds.__getitem__, self._codes),
             map(ids.__getitem__, self._senders),
             map(ids.__getitem__, self._recipients),
@@ -205,7 +242,11 @@ class World:
 
         self.clock = 0.0
         self._seq = 0
-        self._queue: list[tuple[float, int, Message | str]] = []
+        self._queue: list[tuple[float, int, list[Message | str]]] = []  # a heap of runs
+        # The run holding the latest seq, until its last event is dispatched.
+        self._newest: tuple[float, int, list[Message | str]] | None = None
+        self._next = 0  # the index of the earliest run's next event
+        self._pending = 0
 
         self.capacities: dict[str, int] = {pu.id: pu.channels for pu in scenario.pus}
         self.ctx = HandlerContext(
@@ -246,19 +287,36 @@ class World:
 
     def _schedule(self, time: float, event: Message | str) -> None:
         """Queue a delivery of ``event``, or a wake of the SU it names, at ``time``."""
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event))
+        newest = self._newest
+        if newest is not None and _same_time(time, newest[0]):
+            newest[2].append(event)
+        else:
+            self._newest = newest = (time, self._seq, [event])
+            heapq.heappush(self._queue, newest)
+        self._seq += 1
+        self._pending += 1
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """The number of queued events."""
+        return self._pending
 
     def step(self) -> "World":
         """Dispatch the single earliest (time, seq) event."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise ValueError("step on an empty event queue")
-        time, seq, event = heapq.heappop(self._queue)
+        entry = time, first, events = queue[0]
+        index = self._next
+        event, seq = events[index], first + index
+        if index + 1 < len(events):
+            self._next = index + 1
+        else:  # the run is done: a later event at its time starts a new one
+            heapq.heappop(queue)
+            self._next = 0
+            if entry is self._newest:
+                self._newest = None
+        self._pending -= 1
         self.clock = time
 
         if isinstance(event, Message):
@@ -299,17 +357,19 @@ class World:
         return self
 
     def run_to_quiescence(self) -> RunReport:
-        while self._queue:
-            if len(self.event_log) >= self.event_cap:
-                raise SimulationCapExceeded(
-                    f"event cap {self.event_cap} reached at t={self.clock:g} "
-                    f"with {len(self._queue)} events pending"
-                )
+        for _ in range(self.event_cap - len(self.event_log)):
+            if not self._pending:
+                break
             self.step()
+        if self._pending:
+            raise SimulationCapExceeded(
+                f"event cap {self.event_cap} reached at t={self.clock:g} "
+                f"with {self._pending} events pending"
+            )
         return self.report()
 
     def report(self) -> RunReport:
-        if self._queue:
+        if self._pending:
             raise ValueError("report requested before quiescence")
         msg_counts = {kind.value: self.event_log.count(kind) for kind in MessageKind}
         delivered = sum(msg_counts.values())

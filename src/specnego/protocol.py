@@ -33,6 +33,11 @@ Handlers are pure: given the same (state, message, time, context) they
 return the same new state and outgoing messages. All world mutation (live
 PU capacities, metric counters) is applied by the kernel from the returned
 :class:`HandlerResult`.
+
+The records built on every event (:class:`Message`, :class:`CoordinatorReply`,
+:class:`Ask`, :class:`SecondaryUserState`) are named tuples, and
+:class:`HandlerResult` a slotted class: each builds in a third to two thirds
+of a frozen dataclass's time, and dispatch is little else.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .coalitions import (
     Membership, ParamRegistry, best_offer, form_coalitions, rank_offers, register_params
@@ -91,8 +96,7 @@ class Demand:
     channels_requested: int
 
 
-@dataclass(frozen=True)
-class CoordinatorReply:
+class CoordinatorReply(NamedTuple):
     """Payload of CpuOffer/CpuNoOffer.
 
     ``demand_ref`` names the SU whose single demand is being answered, or
@@ -115,24 +119,34 @@ _PAYLOAD_RULES: dict[MessageKind, Callable[[object], bool]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A typed, addressed protocol message."""
+class _MessageFields(NamedTuple):
+    """The fields of a :class:`Message`, which checks them."""
 
     kind: MessageKind
     sender: str
     recipient: str
     payload: object
 
-    def __post_init__(self) -> None:
-        if self.sender == self.recipient:
-            raise ValueError(f"message from {self.sender!r} to itself")
+
+class Message(_MessageFields):
+    """A typed, addressed protocol message."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: MessageKind, sender: str, recipient: str, payload: object):
+        if sender == recipient:
+            raise ValueError(f"message from {sender!r} to itself")
         # A plain string hashes and compares like its wire name, so it would
         # find that kind's rule in the table; only members are kinds.
-        if not isinstance(self.kind, MessageKind):
-            raise ValueError(f"message kind {self.kind!r} is not a MessageKind")
-        if not _PAYLOAD_RULES[self.kind](self.payload):
-            raise ValueError(f"payload {self.payload!r} does not match kind {self.kind.value}")
+        if not isinstance(kind, MessageKind):
+            raise ValueError(f"message kind {kind!r} is not a MessageKind")
+        if not _PAYLOAD_RULES[kind](payload):
+            raise ValueError(f"payload {payload!r} does not match kind {kind.value}")
+        return tuple.__new__(cls, (kind, sender, recipient, payload))
+
+    @classmethod
+    def _make(cls, fields) -> "Message":  # so that _replace() checks its result too
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -151,8 +165,7 @@ class SuPhase(Enum):
     UNSERVED = "Unserved"
 
 
-@dataclass(frozen=True, slots=True)
-class Ask:
+class Ask(NamedTuple):
     """One open call for proposals; its last reply settles it in :func:`_answer`."""
 
     demands: tuple[Demand, ...]  # granted in this order
@@ -162,8 +175,7 @@ class Ask:
     offers: tuple = ()
 
 
-@dataclass(frozen=True)
-class SecondaryUserState:
+class SecondaryUserState(NamedTuple):
     agent_id: str
     channels_requested: int
     phase: SuPhase = SuPhase.IDLE
@@ -238,14 +250,28 @@ class HandlerContext:
     capacities: Mapping[str, int]
 
 
-@dataclass
 class HandlerResult:
     """A handler's complete outcome: new state, sends, awards, violation."""
 
-    state: AgentState
-    sends: list[tuple[Message, float]] = field(default_factory=list)
-    allocations: list[Allocation] = field(default_factory=list)
-    violation: str | None = None
+    __slots__ = ("state", "sends", "allocations", "violation")
+
+    def __init__(
+        self, state: AgentState, sends: list[tuple[Message, float]] | None = None,
+        allocations: list[Allocation] | None = None, violation: str | None = None,
+    ):
+        self.state = state
+        self.sends = [] if sends is None else sends
+        self.allocations = [] if allocations is None else allocations
+        self.violation = violation
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HandlerResult):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"HandlerResult({fields})"
 
 
 def assign_offers(
@@ -329,28 +355,23 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
     if ctx.plan.wiring.su_coalitions:
         # The SU-coalition asks for this SU and answers it with an SuReply.
         request = Message(MessageKind.SU_REQUEST, me, ctx.plan.csu_of_su[me], demand)
-        return HandlerResult(state=replace(state, phase=SuPhase.WAITING), sends=[(request, 0.0)])
+        return HandlerResult(state=state._replace(phase=SuPhase.WAITING), sends=[(request, 0.0)])
     # The SU asks the plan's targets itself.
     targets = ctx.plan.targets
     if not targets:
         # nobody to query (e.g. no PUs exist): the request dies immediately
-        return HandlerResult(state=replace(state, phase=SuPhase.UNSERVED, completed_at=now))
+        return HandlerResult(state=state._replace(phase=SuPhase.UNSERVED, completed_at=now))
     sends = [(Message(MessageKind.CFP_SINGLE, me, to, demand), 0.0) for to in targets]
     ask = Ask((demand,), len(targets))
-    return HandlerResult(state=replace(state, phase=SuPhase.WAITING, ask=ask), sends=sends)
+    return HandlerResult(state=state._replace(phase=SuPhase.WAITING, ask=ask), sends=sends)
 
 
 def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
     """Dispatch one delivered message to the addressed agent's state machine."""
-    if isinstance(state, Offer):
-        return _handle_pu(state, msg, now, ctx)
-    if isinstance(state, ParamRegistry):
-        return _handle_cpu(state, msg, now, ctx)
-    if isinstance(state, SuCoalitionState):
-        return _handle_csu(state, msg, now, ctx)
-    if isinstance(state, SecondaryUserState):
-        return _handle_su(state, msg, now, ctx)
-    raise ValueError(f"unknown agent state {state!r}")
+    handler = _HANDLERS.get(type(state))
+    if handler is None:
+        raise ValueError(f"unknown agent state {state!r}")
+    return handler(state, msg, now, ctx)
 
 
 def _handle_pu(state: Offer, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
@@ -454,7 +475,7 @@ def _handle_su(
     elif ask is not None and msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
         ask, allocations, delay = _answer(ask, msg.payload.offer, ctx)
         if ask is not None:
-            # Replies still due; the constructor costs half of replace() per reply.
+            # Replies still due; the constructor costs half of _replace() per reply.
             return HandlerResult(
                 state=SecondaryUserState(me, state.channels_requested, state.phase, ask)
             )
@@ -462,5 +483,14 @@ def _handle_su(
     else:
         return _violation(state, me, f"unexpected {msg.kind.value}", now)
     phase = SuPhase.SERVED if served else SuPhase.UNSERVED
-    new_state = replace(state, phase=phase, ask=None, completed_at=completed_at)
+    new_state = state._replace(phase=phase, ask=None, completed_at=completed_at)
     return HandlerResult(state=new_state, allocations=allocations)
+
+
+# The handler of each agent state type.
+_HANDLERS: dict[type, Callable[..., HandlerResult]] = {
+    Offer: _handle_pu,
+    ParamRegistry: _handle_cpu,
+    SuCoalitionState: _handle_csu,
+    SecondaryUserState: _handle_su,
+}

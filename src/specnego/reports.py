@@ -4,9 +4,9 @@ Every renderer is a pure string builder, so re-exporting the same report or
 table produces byte-identical files. Floats are written with ``repr`` (exact
 round-trip form); CSV uses ``,`` separators and ``.`` decimal points, and a
 field holding an agent id is quoted when the id needs it (``csv_field``).
-``events.jsonl`` is rendered in blocks of ``EVENT_BLOCK`` lines, which
-:func:`export_report` writes as they are made, so the whole text of a long
-run is never held. :func:`render_events_jsonl`, which must return the text,
+``events.jsonl`` is rendered in blocks of ``EVENT_BLOCK`` (1,000) lines,
+which :func:`export_report` writes as they are made, so the whole text of a
+long run is never held. :func:`render_events_jsonl`, which must return the text,
 holds it once: it grows one string block by block (``+=``) instead of
 joining a list of every block, which would hold the text twice.
 """
@@ -59,7 +59,7 @@ def render_metrics_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-EVENT_BLOCK = 10_000  # events.jsonl lines rendered (and written) at a time
+EVENT_BLOCK = 1_000  # events.jsonl lines rendered (and written) at a time
 
 
 def _event_blocks(report: RunReport) -> Iterator[str]:

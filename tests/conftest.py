@@ -1,6 +1,6 @@
 import pytest
 
-from specnego import CriterionSense, DecisionMatrix
+from specnego import CriterionSense, DecisionMatrix, generate_scenario, run
 
 # The classic car-choice tutorial matrix. All four criteria are evaluated as
 # benefit criteria (the example's reference tables take the column maximum
@@ -52,3 +52,13 @@ def car_matrix() -> DecisionMatrix:
         weights=CAR_WEIGHTS,
         senses=(CriterionSense.BENEFIT,) * 4,
     )
+
+
+@pytest.fixture(scope="session")
+def bulk_run():
+    """200 PUs x 1000 SUs without coalitions, 401,000 events: (scenario, report).
+
+    Run once per session: the tests that read it only read it.
+    """
+    scenario = generate_scenario("no_coalition", 200, 0, (1000,), seed=1)
+    return scenario, run(scenario)

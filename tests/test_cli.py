@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import specnego
-from specnego import generate_scenario, run
+from specnego import generate_scenario
 from specnego.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from specnego.reports import render_events_jsonl
 from specnego.scenario_io import scenario_to_json
@@ -105,13 +105,14 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RSS from procfs")
-    def test_large_run_streams_events_in_bounded_memory(self, tmp_path):
+    def test_large_run_streams_events_in_bounded_memory(self, tmp_path, bulk_run):
         # 200 PUs x 1000 SUs: 401,000 events and a 41 MB events.jsonl. Holding
         # the log's rows as objects and its text whole took the process past
-        # 230 MB; the columnar log written out in blocks keeps it near 40 MB.
+        # 230 MB; the columnar log, stored by run of same-time events and
+        # written out in blocks, keeps it near 29 MB.
         # The peak is VmHWM, not ru_maxrss, which keeps the forking test
         # process's peak across exec.
-        scenario = generate_scenario("no_coalition", 200, 0, (1000,), seed=1)
+        scenario, report = bulk_run
         path = tmp_path / "bulk.json"
         path.write_text(scenario_to_json(scenario), encoding="utf-8")
         out = tmp_path / "out"
@@ -128,8 +129,8 @@ class TestRunCommand:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         ).stdout
         peak_mb = int(stdout.splitlines()[-1]) / 1024
-        assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"
-        expected = render_events_jsonl(run(scenario)).encode("utf-8")
+        assert peak_mb < 34, f"peak RSS {peak_mb:.1f} MB"
+        expected = render_events_jsonl(report).encode("utf-8")
         assert (out / "events.jsonl").read_bytes() == expected
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RSS from procfs")

@@ -291,7 +291,24 @@ EVENT_ROWS = st.lists(st.tuples(
 ), max_size=30)
 
 
-@given(EVENT_ROWS, st.integers(1, 4))
+@st.composite
+def event_runs(draw):
+    """Rows in runs, as the kernel logs them: consecutive seqs at one time,
+    then a seq gap, a new time, or both; -0.0 and 0.0 are different times."""
+    seq = draw(st.integers(0, 2**62))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        time = draw(st.sampled_from([-0.0, 0.0, 2.5]) | st.floats(allow_nan=False,
+                                                                  allow_infinity=False))
+        for _ in range(draw(st.integers(1, 4))):
+            rows.append((time, seq, draw(AGENT_IDS), draw(AGENT_IDS),
+                         draw(st.sampled_from([None, *MessageKind]))))
+            seq += 1
+        seq += draw(st.sampled_from([0, 0, 1, 7]))
+    return rows
+
+
+@given(EVENT_ROWS | event_runs(), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_event_log_reads_back_its_rows(rows, block):
     log, again = EventLog(), EventLog()

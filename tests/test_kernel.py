@@ -1,6 +1,6 @@
 """Discrete-event kernel tests: hand-traced timelines, ordering, determinism."""
 
-import heapq
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +25,9 @@ from specnego import (
     run,
     validate,
 )
-from specnego.kernel import AGENT_WAKE, DELIVER, LoggedEvent
+from specnego.kernel import AGENT_WAKE, DELIVER, EventLog, LoggedEvent
 from specnego.model import WIRINGS
-from specnego.protocol import HandlerResult, SuPhase
+from specnego.protocol import HandlerResult, SecondaryUserState, SuPhase, handle, handle_wake
 from specnego.reports import render_allocations_csv, render_events_jsonl, render_metrics_csv
 
 
@@ -112,7 +112,9 @@ class TestStep:
             ),
         )
         world = World(scenario)
+        assert world.pending == 2  # events: the two wakes are one run
         world.step()
+        assert world.pending == 2  # sa's wake, and sb's call for proposals
         world.step()
         # insertion order (scenario order), not id order
         assert [e.sender for e in world.event_log] == ["sb", "sa"]
@@ -127,7 +129,7 @@ class TestStep:
     def test_delivery_to_unknown_agent_fails(self):
         world = World(reference_scenario((1,)))
         bogus = Message(MessageKind.SU_REQUEST, "ghost1", "ghost2", Demand("ghost1", 1))
-        heapq.heappush(world._queue, (0.0, 999, bogus))
+        world._schedule(0.0, bogus)
         with pytest.raises(ValueError, match="unknown agent"):
             for _ in range(30):
                 world.step()
@@ -163,11 +165,71 @@ class TestStep:
         world = World(reference_scenario((1,)))
         offer = world.states["pu000"]  # a PU's state is its Offer
         extra = Message(MessageKind.PARAM_UPDATE, "pu000", offer.cpu_id, offer)
-        heapq.heappush(world._queue, (0.0, 999, extra))
+        world._schedule(0.0, extra)
         world.sent += 1
         with pytest.raises(RuntimeError, match="sent 28, delivered 28, closed form 27"):
             world.run_to_quiescence()
 
+
+    def test_signed_zero_arrivals_keep_their_sign(self):
+        # -0.0 == 0.0, yet each wake is logged, and handled, at its own time
+        report = run(direct_scenario(arrivals=(-0.0, 0.0)))
+        lines = render_events_jsonl(report).splitlines()
+        assert lines[:2] == [
+            '{"time":-0.0,"seq":0,"kind":"AgentWake","from":"su0","to":"su0","payload_kind":null}',
+            '{"time":0.0,"seq":1,"kind":"AgentWake","from":"su1","to":"su1","payload_kind":null}',
+        ]
+
+
+def wake_unknown_agent():
+    world = World(direct_scenario())
+    world._schedule(0.0, "ghost")
+    while world.pending:
+        world.step()
+
+
+def outcome(action):
+    """What ``action()`` returns, or the text of the ValueError it raises."""
+    try:
+        return action()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+CTX = World(direct_scenario()).ctx
+CFP = Message(MessageKind.CFP_SINGLE, "su0", "pu0", Demand("su0", 1))
+
+
+@pytest.mark.parametrize("action, expected", [
+    (wake_unknown_agent, "ValueError: wake for unknown agent 'ghost'"),
+    (lambda: (EventLog().__eq__([]), EventLog() == []), (NotImplemented, False)),
+    (lambda: handle("ghost", CFP, 0.0, CTX), "ValueError: unknown agent state 'ghost'"),
+    (lambda: handle_wake("pu0", 0.0, CTX), "ValueError: wake delivered to non-SU agent 'pu0'"),
+    (lambda: handle_wake(SecondaryUserState("su0", 1, SuPhase.WAITING), 2.5, CTX).violation,
+     "t=2.5: wake in phase Waiting at 'su0'"),
+], ids=["unknown wake", "log vs non-log", "unknown state", "non-SU wake", "wake in phase"])
+def test_error_paths(action, expected):
+    assert outcome(action) == expected
+
+
+def log_bytes(log):
+    """The bytes held by the event log's typed columns."""
+    columns = (getattr(log, name) for name in EventLog.__slots__)
+    return sum(len(c) * c.itemsize for c in columns if isinstance(c, array))
+
+
+class TestEventLogSize:
+    def test_fan_outs_log_under_ten_bytes_per_event(self, bulk_run):
+        # each SU's wake, call wave and reply wave is a run
+        log = bulk_run[1].event_log
+        assert len(log) == 401_000
+        assert log_bytes(log) <= 10 * len(log)
+
+    def test_one_event_runs_log_at_most_25_bytes_per_event(self):
+        # one PU and SUs 100 apart: no two events share a time
+        log = run(direct_scenario(arrivals=(0.0, 100.0, 200.0))).event_log
+        assert len({e.time for e in log}) == len(log) == 9
+        assert log_bytes(log) <= 25 * len(log)
 
 class TestRecords:
     def test_field_names_and_order(self):

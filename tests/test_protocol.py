@@ -94,6 +94,12 @@ class TestMessage:
         with pytest.raises(ValueError, match="'SuRequest' is not a MessageKind"):
             Message("SuRequest", "a", "b", Demand("a", 1))
 
+    def test_replace_checks_the_new_message(self):
+        message = Message(MessageKind.SU_REPLY, "a", "b", None)
+        assert message._replace(recipient="c") == Message(MessageKind.SU_REPLY, "a", "c", None)
+        with pytest.raises(ValueError, match="itself"):
+            message._replace(recipient="a")
+
     def test_is_frozen_without_instance_dict(self):
         message = Message(MessageKind.SU_REPLY, "a", "b", None)
         with pytest.raises(AttributeError):
