@@ -1,12 +1,20 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or loads a module it
+never needs.
 
 No linter is a dependency of the project, so this reads each module's syntax
 tree with the standard library's ``ast``. A name counts as used when it is
 read anywhere in the module or listed in ``__all__`` (a re-export).
 ``__init__.py`` only re-exports and is skipped.
+
+The footprint test imports the package in a fresh interpreter: a run, a
+study, an export or the CLI must load no network or XML module, which cost
+about 6 MB and 30 ms per process.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +63,25 @@ def test_no_unused_import(path):
         if (path.stem, name) not in KEPT
     ]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The modules loaded after running ``statement`` in a fresh interpreter."""
+    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    stdout = subprocess.run(
+        [sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    return set(json.loads(stdout))
+
+
+def test_cli_loads_no_network_or_xml_module():
+    loaded = loaded_modules("import specnego.cli")
+    assert {f"specnego.{path.stem}" for path in MODULES} <= loaded  # the whole package
+    banned = {"xml", "urllib.request", "http", "email", "ssl", "socket"}
+    assert banned & loaded == set()
+
+
+def test_package_import_loads_no_export_module():
+    loaded = loaded_modules("import specnego")
+    assert {"specnego.charts", "specnego.reports"} & loaded == set()

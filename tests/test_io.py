@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from specnego import (
     topsis,
     validate,
 )
-from specnego import reports
+from specnego import charts, reports
 from specnego.charts import render_chart
 from specnego.cli import EXIT_VALIDATION, main
 from specnego.experiments import MetricsTable, experiment_spec, run_experiment
@@ -221,6 +223,11 @@ class TestMatrixCsv:
         bad = self.TEXT.replace("benefit,cost", "benefit,cheap")
         with pytest.raises(ValueError, match="cheap"):
             parse_matrix_csv(bad)
+
+    def test_senses_row_count(self):
+        with pytest.raises(ValueError) as excinfo:
+            parse_matrix_csv("alternative,a,b\nweights,1,1\nsenses,benefit\nx,1,2\n")
+        assert str(excinfo.value) == "senses row: expected 2 values, got 1"
 
     def test_wrong_cell_count(self):
         with pytest.raises(ValueError, match="expected 3"):
@@ -539,3 +546,19 @@ class TestCharts:
         a = render_chart(exp_i_table, "line", "su_count", "run_response")
         b = render_chart(exp_i_table, "line", "su_count", "run_response")
         assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_escape_matches_saxutils(self, text):
+        # saxutils is the oracle here only: the package must not import it
+        assert charts._escape(text) == sax_escape(text)
+
+    @pytest.mark.parametrize("kind", ["line", "bar"])
+    def test_markup_in_names_reads_back_from_the_svg(self, kind):
+        x, y, s = "n<&>", "y \"'&amp;", "s'\""
+        series = ("a&b", "<c>", "&amp;\"'")
+        rows = tuple((name, 1, 2.0) for name in series)
+        svg = render_chart(MetricsTable("e<&>", (), (s, x, y), rows), kind, x, y, series=s)
+        texts = [node.text for node in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        for name in (f"e<&>: {y} by {x}", x, y) + series:
+            assert name in texts

@@ -239,6 +239,32 @@ class TestPipeline:
 
 
 # ---------------------------------------------------------------------------
+# Malformed input: each check names its defect
+# ---------------------------------------------------------------------------
+
+
+def _matrix_with(**field):
+    fields = dict(alternatives=("a0", "a1"), criteria=("c0", "c1"),
+                  scores=((1.0, 2.0), (3.0, 4.0)), weights=(1.0, 1.0), senses=(B, C))
+    return lambda: DecisionMatrix(**{**fields, **field})
+
+
+@pytest.mark.parametrize("call, message", [
+    (_matrix_with(scores=((1.0, 2.0),)), "expected 2 score rows, got 1"),
+    (_matrix_with(weights=(1.0,)), "expected 2 weights, got 1"),
+    (_matrix_with(senses=(B,)), "expected 2 senses, got 1"),
+    (_matrix_with(senses=(B, "cost")), "sense[1] is not a CriterionSense: 'cost'"),
+    (lambda: apply_weights([[1.0, 2.0]], (1.0, -0.5)), "weights must be positive finite numbers"),
+    (lambda: closeness_and_rank([0.1, 0.2], [0.5]), "separation vectors must be of equal length"),
+], ids=["score_rows", "weights_count", "senses_count", "sense_type", "weights_sign",
+        "separation_lengths"])
+def test_malformed_input_names_its_defect(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
