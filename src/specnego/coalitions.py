@@ -7,6 +7,9 @@ PU-coalition coordinator's whole state is its :class:`ParamRegistry` of
 member offers, and it answers a call for proposals with :func:`best_offer`,
 the head of :func:`rank_offers`. That TOPSIS ranking over (channels, price,
 alloc_time) is the one ranking of offers, for coordinators and SUs alike.
+It keeps its last result: registries are written once, at t=0, so in the
+coalition wirings nearly every ranking repeats the previous call's offer
+scores and weights, and one entry keeps memory flat where inputs differ.
 
 The nearest coordinator is found by a pruned sweep rather than by scoring
 every pair: coordinators are sorted by x once per call, and each agent walks
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -132,17 +136,26 @@ def register_params(registry: ParamRegistry, offer: Offer) -> ParamRegistry:
 
 
 def rank_offers(offers: Sequence[Offer], weights: Sequence[float]) -> list[Offer]:
-    """Order offers best-first by TOPSIS closeness over (channels, price, alloc_time)."""
+    """Order the caller's own offers best-first by TOPSIS over (channels, price, alloc_time)."""
     if not offers:
         return []
+    ranking = _ranking(tuple(map(attrgetter(*CRITERION_LABELS), offers)), tuple(weights))
+    return [offers[i] for i in ranking]
+
+
+# A ranking depends only on the score rows and the weights, not on names, so
+# those are the whole key and the matrix gets blank names (a new name string
+# per row raised a long run's peak RSS); a call that raises caches nothing.
+@lru_cache(maxsize=1)
+def _ranking(scores: tuple[tuple[float, ...], ...], weights: tuple[float, ...]) -> tuple[int, ...]:
     matrix = DecisionMatrix(
-        alternatives=tuple(o.pu_id for o in offers),
+        alternatives=("",) * len(scores),
         criteria=CRITERION_LABELS,
-        scores=tuple(map(attrgetter(*CRITERION_LABELS), offers)),
-        weights=tuple(weights),
+        scores=scores,
+        weights=weights,
         senses=CRITERIA_SENSES,
     )
-    return [offers[i] for i in topsis(matrix).ranking]
+    return tuple(topsis(matrix).ranking)
 
 
 def best_offer(registry: ParamRegistry, weights: Sequence[float]) -> Offer | None:
@@ -151,7 +164,7 @@ def best_offer(registry: ParamRegistry, weights: Sequence[float]) -> Offer | Non
     Members advertising zero channels are excluded before ranking (an
     unusable offer must not win on price or allocation time). Returns None
     when no member has channels available. The result is memoized per
-    registry instance and weights: TOPSIS runs on the first call only.
+    registry instance and weights: TOPSIS runs at most on the first call.
     """
     key = tuple(weights)
     if key not in registry._best:

@@ -1,6 +1,14 @@
 import pytest
 
+import specnego.coalitions
 from specnego import CriterionSense, DecisionMatrix, generate_scenario, run
+
+
+@pytest.fixture(autouse=True)
+def fresh_ranking_memo():
+    """Start every test with an empty ``rank_offers`` memo, so that a test that
+    counts TOPSIS calls does not depend on the tests that ran before it."""
+    specnego.coalitions._ranking.cache_clear()
 
 # The classic car-choice tutorial matrix. All four criteria are evaluated as
 # benefit criteria (the example's reference tables take the column maximum

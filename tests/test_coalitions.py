@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracle import oracle_topsis
 import specnego.coalitions
 from specnego import (
+    DecisionMatrix,
     Offer,
     ParamRegistry,
     Zone,
@@ -17,8 +18,12 @@ from specnego import (
     experiment_spec,
     form_coalitions,
     generate_scenario,
+    rank_offers,
     register_params,
+    run,
+    topsis,
 )
+from specnego.model import CRITERIA_SENSES, CRITERION_LABELS
 
 WEIGHTS = (0.2, 0.5, 0.3)
 
@@ -366,3 +371,69 @@ class TestBestOfferMemo:
                 assert best_offer(registry, w) == expected[w]
             # replace() must not inherit the winners memoized on previous
             assert best_offer(replace(previous, entries=registry.entries), WEIGHTS) == expected[WEIGHTS]
+
+
+@st.composite
+def ranking_calls(draw):
+    """A sequence of ``(offers, weights)`` calls drawn from a few score sets.
+
+    Calls repeat a set with new ``Offer`` objects, permute it, rename its
+    offers, and mix ``0.0``/``-0.0`` prices and ``int``/``float`` values.
+    """
+    row = st.tuples(
+        st.sampled_from((0, 1, 1.0, 3)),
+        st.sampled_from((0.0, -0.0, 5.0, 9.0)),
+        st.sampled_from((30, 30.0, 60.0)),
+    )
+    bases = draw(st.lists(st.lists(row, min_size=1, max_size=5), min_size=1, max_size=3))
+    calls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        base = draw(st.sampled_from(bases))
+        order = draw(st.permutations(range(len(base))))
+        names = draw(st.lists(st.sampled_from("abc"), min_size=len(base), max_size=len(base)))
+        offers = [Offer(name, "cpu0", *base[i]) for name, i in zip(names, order)]
+        calls.append((offers, draw(st.sampled_from((WEIGHTS, CHANNEL_HEAVY)))))
+    return calls
+
+
+class TestRankingMemo:
+    @given(ranking_calls())
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_uncached_ranking(self, calls):
+        for offers, weights in calls:
+            matrix = DecisionMatrix(
+                alternatives=tuple(o.pu_id for o in offers),
+                criteria=CRITERION_LABELS,
+                scores=tuple((o.channels, o.price, o.alloc_time) for o in offers),
+                weights=weights,
+                senses=CRITERIA_SENSES,
+            )
+            expected = [offers[i] for i in topsis(matrix).ranking]
+            ranked = rank_offers(offers, weights)
+            assert ranked == expected
+            assert all(got is want for got, want in zip(ranked, expected))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_score_raises_on_every_repeat(self, bad):
+        offers = [Offer("a", "cpu0", 3, 5.0, 30.0), Offer("b", "cpu0", 2, bad, 30.0)]
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not finite"):
+                rank_offers(offers, WEIGHTS)
+
+    @pytest.mark.parametrize("topology, su_groups, aggregation", [
+        ("cpu_only", (20,), True),
+        ("cpu_csu", (5, 5, 5), True),
+        ("cpu_csu", (5, 5, 5), False),
+    ])
+    def test_topsis_runs_once_per_distinct_ranking(
+        self, topology, su_groups, aggregation, monkeypatch
+    ):
+        # five registries, each ranked once, then one ranking shared by every
+        # SU or SU-coalition: all of them receive the same five nominees
+        calls = []
+        real_topsis = specnego.coalitions.topsis
+        monkeypatch.setattr(
+            specnego.coalitions, "topsis", lambda m: calls.append(m) or real_topsis(m)
+        )
+        run(generate_scenario(topology, 15, 5, su_groups, aggregation=aggregation, seed=1))
+        assert len(calls) == 6

@@ -247,6 +247,18 @@ class TestTimeBound:
         assert validate(scenario) == []
         assert run(scenario).quiescent_at == quiescent_at
 
+    def test_per_demand_charges_one_demand_per_chain(self):
+        # each per-demand SuRequest is aggregated alone, so agg_per_demand is
+        # charged once; aggregated, it is charged once per SU and overflows
+        timing = TimingConstants(agg_per_demand=1e308)
+        per_demand = dataclasses.replace(
+            generate_scenario("cpu_csu", 3, 1, (2,), aggregation=False, seed=1), timing=timing
+        )
+        assert validate(per_demand) == []
+        assert run(per_demand).quiescent_at == 1e308
+        aggregated = dataclasses.replace(per_demand, aggregation=True)
+        assert [p.split(":")[0] for p in validate(aggregated)] == ["timing"]
+
     def test_no_sus_nothing_to_bound(self):
         scenario = small_scenario(sus=(), csu_coordinators=(),
                                   topology="cpu_only",
