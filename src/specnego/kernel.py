@@ -18,7 +18,8 @@ entry is one run, ``(time, first seq, events)``, where an event is the
 the newest run while it is due at that run's time. That is exact: it takes
 the next seq, and no other entry holds a seq inside the run, so none sorts
 between its events. Seqs are unique, so ordering never compares events. A
-run is dropped once its last event is dispatched.
+run is dropped once its last event is dispatched. The seeds, and each
+handler's sends, are queued in one pass.
 
 The record of dispatched events is an :class:`EventLog`: the time and seq
 once per run, and per event a sender, a recipient (agent ids interned in a
@@ -26,7 +27,8 @@ first-seen table) and a payload code, about 9 bytes per event plus 16 per
 run and never more than 25 per event, so a simulation near the 10M-event
 cap keeps its log in about 90 MB (250 MB if no two events shared a run).
 Rows read back as :class:`LoggedEvent`. The event cap counts logged
-events: every dispatched event is logged first.
+events: every dispatched event is logged first. Only a queue run's first
+event goes through the log's merge rule; its later events continue the run.
 """
 
 from __future__ import annotations
@@ -140,15 +142,21 @@ class EventLog:
         self, time: float, seq: int, sender: str, recipient: str, payload: MessageKind | None
     ) -> None:
         """Log one event: a delivery of a ``payload`` message, or a wake when it is None."""
-        ids, codes, code = self._ids, self._codes, _CODES[payload]
+        codes = self._codes
         offset = seq - len(codes)
-        if not (codes and offset == self._offsets[-1] and _same_time(time, self._times[-1])):
-            self._times.append(time)
-            self._offsets.append(offset)
-            code += _FIRST
+        if codes and offset == self._offsets[-1] and _same_time(time, self._times[-1]):
+            return self.continue_run(sender, recipient, payload)
+        self._times.append(time)
+        self._offsets.append(offset)
+        self.continue_run(sender, recipient, payload)
+        codes[-1] += _FIRST
+
+    def continue_run(self, sender: str, recipient: str, payload: MessageKind | None) -> None:
+        """Log an event of the latest run: at the run's time, with the next seq."""
+        ids = self._ids
         self._senders.append(ids[sender])
         self._recipients.append(ids[recipient])
-        codes.append(code)
+        self._codes.append(_CODES[payload])
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -237,6 +245,7 @@ class World:
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
         self.scenario = scenario
+        self._latency = scenario.timing.latency
         self.event_cap = DEFAULT_EVENT_CAP if event_cap is None else int(event_cap)
         self.plan = topology_plan(scenario)
 
@@ -278,23 +287,44 @@ class World:
         # Seed the run: PU parameter registrations delivered at t=0 in the
         # coalition topologies, and one wake per SU at its arrival time.
         if self.plan.wiring.pu_coalitions:
-            for offer in offers:
-                message = Message(MessageKind.PARAM_UPDATE, offer.pu_id, offer.cpu_id, offer)
-                self._schedule(0.0, message)
-                self.sent += 1
-        for su in scenario.sus:
-            self._schedule(su.arrival_time, su.id)
+            self._enqueue([
+                (Message(MessageKind.PARAM_UPDATE, offer.pu_id, offer.cpu_id, offer), 0.0)
+                for offer in offers
+            ])
+            self.sent += len(offers)
+        self._enqueue([(su.id, su.arrival_time) for su in scenario.sus])
 
     def _schedule(self, time: float, event: Message | str) -> None:
         """Queue a delivery of ``event``, or a wake of the SU it names, at ``time``."""
-        newest = self._newest
-        if newest is not None and _same_time(time, newest[0]):
-            newest[2].append(event)
-        else:
-            self._newest = newest = (time, self._seq, [event])
-            heapq.heappush(self._queue, newest)
-        self._seq += 1
-        self._pending += 1
+        self._enqueue([(event, time)])
+
+    def _enqueue(self, events: list, time: float = -0.0, latency: float = -0.0) -> None:
+        """Queue each ``(event, delay)``, in order, at ``time + delay + latency``.
+
+        An event joins the newest run iff its due time is bit-identical to the run's.
+        By default the due time is the delay (x + -0.0 is x for every float x).
+        An inf due time raises, with the events before it queued and counted.
+        """
+        newest, seq = self._newest, self._seq
+        try:
+            for event, delay in events:
+                due = time + delay + latency
+                # == is bit-identity except between zeros, whose signs must also agree
+                if newest is not None and due == newest[0] and (due or _same_time(due, newest[0])):
+                    newest[2].append(event)
+                else:
+                    if due == math.inf:
+                        raise RuntimeError(
+                            f"delivery time overflows to inf: {event.kind.value} from "
+                            f"{event.sender!r} to {event.recipient!r} at t={time!r}"
+                        )
+                    newest = (due, seq, [event])
+                    heapq.heappush(self._queue, newest)
+                seq += 1
+        finally:
+            self._newest = newest
+            self._pending += seq - self._seq
+            self._seq = seq
 
     @property
     def pending(self) -> int:
@@ -308,7 +338,7 @@ class World:
             raise ValueError("step on an empty event queue")
         entry = time, first, events = queue[0]
         index = self._next
-        event, seq = events[index], first + index
+        event = events[index]
         if index + 1 < len(events):
             self._next = index + 1
         else:  # the run is done: a later event at its time starts a new one
@@ -319,20 +349,18 @@ class World:
         self._pending -= 1
         self.clock = time
 
-        if isinstance(event, Message):
-            agent_id = event.recipient
-            self.event_log.append(time, seq, event.sender, agent_id, event.kind)
-            state = self.states.get(agent_id)
-            if state is None:
-                raise ValueError(f"delivery to unknown agent {agent_id!r}")
-            result = handle(state, event, time, self.ctx)
+        wake = type(event) is str
+        kind, sender, agent_id, _ = (None, event, event, None) if wake else event
+        # A run's later events continue the log's run: same time, next seq.
+        if index:
+            self.event_log.continue_run(sender, agent_id, kind)
         else:
-            agent_id = event
-            self.event_log.append(time, seq, agent_id, agent_id, None)
-            state = self.states.get(agent_id)
-            if state is None:
-                raise ValueError(f"wake for unknown agent {agent_id!r}")
-            result = handle_wake(state, time, self.ctx)
+            self.event_log.append(time, first, sender, agent_id, kind)
+        state = self.states.get(agent_id)
+        if state is None:
+            raise ValueError(f"{'wake for' if wake else 'delivery to'} unknown agent {agent_id!r}")
+        ctx = self.ctx
+        result = handle_wake(state, time, ctx) if wake else handle(state, event, time, ctx)
 
         self.states[agent_id] = result.state
         if result.violation is not None:
@@ -345,15 +373,13 @@ class World:
                 )
             self.capacities[allocation.offer.pu_id] = remaining
             self.allocations.append(allocation)
-        for message, delay in result.sends:
-            due = time + delay + self.scenario.timing.latency
-            if due == math.inf:
-                raise RuntimeError(
-                    f"delivery time overflows to inf: {message.kind.value} from "
-                    f"{message.sender!r} to {message.recipient!r} at t={time!r}"
-                )
-            self._schedule(due, message)
-        self.sent += len(result.sends)
+        sends = result.sends
+        if sends:
+            queued = self._seq
+            try:
+                self._enqueue(sends, time, self._latency)
+            finally:
+                self.sent += self._seq - queued
         return self
 
     def run_to_quiescence(self) -> RunReport:

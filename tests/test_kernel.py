@@ -1,6 +1,9 @@
 """Discrete-event kernel tests: hand-traced timelines, ordering, determinism."""
 
+import re
+import sys
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from specnego import (
     Scenario,
     SecondaryUser,
     SimulationCapExceeded,
+    TimingConstants,
     World,
     Zone,
     expected_messages,
@@ -27,7 +31,9 @@ from specnego import (
 )
 from specnego.kernel import AGENT_WAKE, DELIVER, EventLog, LoggedEvent
 from specnego.model import WIRINGS
-from specnego.protocol import HandlerResult, SecondaryUserState, SuPhase, handle, handle_wake
+from specnego.protocol import (
+    CoordinatorReply, HandlerResult, SecondaryUserState, SuPhase, handle, handle_wake
+)
 from specnego.reports import render_allocations_csv, render_events_jsonl, render_metrics_csv
 
 
@@ -153,6 +159,25 @@ class TestStep:
         monkeypatch.setattr(specnego.kernel, "handle", over_grant)
         with pytest.raises(RuntimeError, match="capacity of 'pu0' driven negative at t=10"):
             run(direct_scenario())
+
+    def test_overflowing_send_leaves_the_counts_agreeing(self, monkeypatch):
+        # pu0 answers at t=1e300 with two replies; the second's due time
+        # 1e300 + max float + latency overflows to inf
+        def two_replies(state, message, now, ctx):
+            if message.kind is not MessageKind.CFP_SINGLE:
+                return handle(state, message, now, ctx)
+            reply = Message(MessageKind.CPU_NO_OFFER, "pu0", "su0", CoordinatorReply(None, "su0"))
+            return HandlerResult(state, [(reply, 0.0), (reply, sys.float_info.max)])
+
+        monkeypatch.setattr(specnego.kernel, "handle", two_replies)
+        world = World(direct_scenario(arrivals=(1e300,)))
+        expected = "delivery time overflows to inf: CpuNoOffer from 'pu0' to 'su0' at t=1e+300"
+        with pytest.raises(RuntimeError, match=re.escape(expected)):
+            world.run_to_quiescence()
+        queued = sum(len(events) for _, _, events in world._queue) - world._next
+        assert world.pending == queued == 1  # the first reply
+        # sent: the SU's call for proposals, delivered, and the queued reply
+        assert world.sent == world.event_log.count(MessageKind.CFP_SINGLE) + queued == 2
 
     def test_report_before_quiescence_fails(self):
         world = World(reference_scenario((1,)))
@@ -453,3 +478,37 @@ def test_property_valid_scenarios_run_to_quiescence(scenario):
     times = [e.time for e in report.event_log]
     assert times == sorted(times)
     assert exports(run(scenario)) == exports(report)
+
+
+def signed_zero_arrivals(scenario, draw):
+    """Every SU arrives at -0.0 or at 0.0: equal times that never share a run."""
+    arrivals = [draw(st.sampled_from([-0.0, 0.0])) for _ in scenario.sus]
+    return replace(scenario, sus=tuple(
+        replace(su, arrival_time=t) for su, t in zip(scenario.sus, arrivals)
+    ))
+
+
+@pytest.mark.parametrize("variant", [
+    lambda scenario, draw: scenario,
+    # every send is due at once, so it joins the run being dispatched
+    lambda scenario, draw: replace(scenario, timing=TimingConstants(0.0, 0.0, 0.0, 0.0, 0.0)),
+    signed_zero_arrivals,
+], ids=["as drawn", "zero timing", "signed zero arrivals"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_log_equals_its_rows_appended_one_by_one(variant, data):
+    # step continues the log's run for a queue run's later events; append
+    # alone, applying its merge rule to every row, must build the same log
+    scenario = variant(data.draw(arbitrary_scenarios()), data.draw)
+    world, clocks = World(scenario), []
+    while world.pending:
+        clocks.append(repr(world.step().clock))
+    log = world.event_log
+    # each row is logged at its dispatch time, and every queued seq once
+    assert [repr(event.time) for event in log] == clocks
+    assert sorted(event.seq for event in log) == list(range(len(log)))
+    rebuilt = EventLog()
+    for event in log:
+        payload = None if event.payload_kind is None else MessageKind(event.payload_kind)
+        rebuilt.append(event.time, event.seq, event.sender, event.recipient, payload)
+    assert rebuilt == log

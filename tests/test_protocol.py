@@ -610,6 +610,32 @@ class TestCsuHandlers:
         assert handle(state, message, 10.0, ctx) == handle(state, message, 10.0, ctx)
 
 
+class TestSuCoalitionStateValue:
+    def test_fields_cannot_be_assigned(self):
+        state = SuCoalitionState("csu0", ("su0",))
+        for name in SuCoalitionState._fields:
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+
+    def test_default_asks_is_immutable_and_shares_nothing_mutable(self):
+        first, second = SuCoalitionState("csu0", ("su0",)), SuCoalitionState("csu1", ("su1",))
+        with pytest.raises(TypeError):
+            first.asks[None] = Ask((Demand("su0", 1),), 1)
+        # an ask opened from one fresh state leaves every other fresh state empty
+        request = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
+        opened = handle(first, request, 10.0, make_ctx()).state
+        assert set(opened.asks) == {None}
+        assert first.asks == second.asks == SuCoalitionState("csu2", ()).asks == {}
+
+    def test_handle_dispatches_on_the_state_type(self):
+        state = SuCoalitionState("csu0", ("su0",))
+        request = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
+        assert handle(state, request, 10.0, make_ctx()).state.asked == 0b1
+        # the same fields as a plain tuple are no agent state
+        with pytest.raises(ValueError, match="unknown agent state"):
+            handle(tuple(state), request, 10.0, make_ctx())
+
+
 class TestTopologyPlan:
     def test_no_coalition_targets_every_pu(self):
         scenario = generate_scenario("no_coalition", pu_count=4, su_groups=(2,))
