@@ -27,8 +27,9 @@ first-seen table) and a payload code, about 9 bytes per event plus 16 per
 run and never more than 25 per event, so a simulation near the 10M-event
 cap keeps its log in about 90 MB (250 MB if no two events shared a run).
 Rows read back as :class:`LoggedEvent`. The event cap counts logged
-events: every dispatched event is logged first. Only a queue run's first
-event goes through the log's merge rule; its later events continue the run.
+events: every dispatched event is logged first, so the events pending are
+those queued less those logged. Only a queue run's first event goes through
+the log's merge rule; its later events continue the run.
 """
 
 from __future__ import annotations
@@ -102,18 +103,11 @@ def _same_time(a: float, b: float) -> bool:
 class _Interner(dict):
     """Agent id -> index in first-seen order; an unseen id gets the next index.
 
-    ``names`` lists the ids by index.
+    The keys, in the dict's own (insertion) order, list the ids by index.
     """
 
-    __slots__ = ("names",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.names: list[str] = []
-
     def __missing__(self, agent_id: str) -> int:
-        index = self[agent_id] = len(self.names)
-        self.names.append(agent_id)
+        index = self[agent_id] = len(self)
         return index
 
 
@@ -167,7 +161,7 @@ class EventLog:
             raise IndexError("event log index out of range")
         i %= n
         run = next(islice(self._runs(), i, None))
-        ids = self._ids.names
+        ids = list(self._ids)
         kind, payload_kind = _KINDS[self._codes[i] % _FIRST]
         return LoggedEvent(
             self._times[run], i + self._offsets[run], kind,
@@ -204,7 +198,7 @@ class EventLog:
         Each string field is ``encode`` of its value, called once per distinct
         value per call rather than once per row.
         """
-        ids = [encode(agent_id) for agent_id in self._ids.names]
+        ids = [encode(agent_id) for agent_id in self._ids]
         kinds = [encode(kind) for kind, _ in _KINDS] * 2
         payloads = [encode(payload_kind) for _, payload_kind in _KINDS] * 2
         return zip(
@@ -255,7 +249,6 @@ class World:
         # The run holding the latest seq, until its last event is dispatched.
         self._newest: tuple[float, int, list[Message | str]] | None = None
         self._next = 0  # the index of the earliest run's next event
-        self._pending = 0
 
         self.capacities: dict[str, int] = {pu.id: pu.channels for pu in scenario.pus}
         self.ctx = HandlerContext(
@@ -294,10 +287,6 @@ class World:
             self.sent += len(offers)
         self._enqueue([(su.id, su.arrival_time) for su in scenario.sus])
 
-    def _schedule(self, time: float, event: Message | str) -> None:
-        """Queue a delivery of ``event``, or a wake of the SU it names, at ``time``."""
-        self._enqueue([(event, time)])
-
     def _enqueue(self, events: list, time: float = -0.0, latency: float = -0.0) -> None:
         """Queue each ``(event, delay)``, in order, at ``time + delay + latency``.
 
@@ -323,13 +312,12 @@ class World:
                 seq += 1
         finally:
             self._newest = newest
-            self._pending += seq - self._seq
             self._seq = seq
 
     @property
     def pending(self) -> int:
-        """The number of queued events."""
-        return self._pending
+        """The number of queued events: those ever queued less those logged on dispatch."""
+        return self._seq - len(self.event_log)
 
     def step(self) -> "World":
         """Dispatch the single earliest (time, seq) event."""
@@ -346,7 +334,6 @@ class World:
             self._next = 0
             if entry is self._newest:
                 self._newest = None
-        self._pending -= 1
         self.clock = time
 
         wake = type(event) is str
@@ -360,12 +347,12 @@ class World:
         if state is None:
             raise ValueError(f"{'wake for' if wake else 'delivery to'} unknown agent {agent_id!r}")
         ctx = self.ctx
-        result = handle_wake(state, time, ctx) if wake else handle(state, event, time, ctx)
-
-        self.states[agent_id] = result.state
-        if result.violation is not None:
-            self.violations.append(result.violation)
-        for allocation in result.allocations:
+        self.states[agent_id], sends, allocations, violation = (
+            handle_wake(state, time, ctx) if wake else handle(state, event, time, ctx)
+        )
+        if violation is not None:
+            self.violations.append(violation)
+        for allocation in allocations:
             remaining = self.capacities[allocation.offer.pu_id] - allocation.granted_channels
             if remaining < 0:
                 raise RuntimeError(
@@ -373,7 +360,6 @@ class World:
                 )
             self.capacities[allocation.offer.pu_id] = remaining
             self.allocations.append(allocation)
-        sends = result.sends
         if sends:
             queued = self._seq
             try:
@@ -384,18 +370,18 @@ class World:
 
     def run_to_quiescence(self) -> RunReport:
         for _ in range(self.event_cap - len(self.event_log)):
-            if not self._pending:
+            if not self._queue:
                 break
             self.step()
-        if self._pending:
+        if self._queue:
             raise SimulationCapExceeded(
                 f"event cap {self.event_cap} reached at t={self.clock:g} "
-                f"with {self._pending} events pending"
+                f"with {self.pending} events pending"
             )
         return self.report()
 
     def report(self) -> RunReport:
-        if self._pending:
+        if self._queue:
             raise ValueError("report requested before quiescence")
         msg_counts = {kind.value: self.event_log.count(kind) for kind in MessageKind}
         delivered = sum(msg_counts.values())

@@ -34,12 +34,12 @@ return the same new state and outgoing messages. All world mutation (live
 PU capacities, metric counters) is applied by the kernel from the returned
 :class:`HandlerResult`.
 
-The records built on every event (:class:`Message`, :class:`CoordinatorReply`,
-:class:`Ask`, :class:`SecondaryUserState`, :class:`SuCoalitionState`) are
-named tuples, and :class:`HandlerResult` a slotted class: each builds in a
-third to two thirds of a frozen dataclass's time, and dispatch is little
-else. The handlers build them with their constructors, positionally, rather
-than through ``_replace`` or keywords, which cost up to twice as much.
+The records built on every event (:class:`Demand`, :class:`Message`,
+:class:`CoordinatorReply`, :class:`Ask`, :class:`SecondaryUserState`,
+:class:`SuCoalitionState`, :class:`HandlerResult`) are named tuples: each
+builds in a third to two thirds of a frozen dataclass's time, and dispatch is
+little else. The handlers build them with their constructors, positionally,
+rather than through ``_replace`` or keywords, which cost up to twice as much.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -91,9 +92,8 @@ class MessageKind(str, Enum):
     SU_REPLY = "SuReply"
 
 
-@dataclass(frozen=True)
-class Demand:
-    """One SU's channel request."""
+class Demand(NamedTuple):
+    """One SU's channel request: the ``(su_id, requested)`` pair :func:`assign_offers` takes."""
 
     su_id: str
     channels_requested: int
@@ -114,7 +114,7 @@ class CoordinatorReply(NamedTuple):
 _PAYLOAD_RULES: dict[MessageKind, Callable[[object], bool]] = {
     MessageKind.PARAM_UPDATE: lambda p: isinstance(p, Offer),
     MessageKind.SU_REQUEST: lambda p: isinstance(p, Demand),
-    MessageKind.CFP: lambda p: isinstance(p, tuple) and all(isinstance(d, Demand) for d in p),
+    MessageKind.CFP: lambda p: isinstance(p, tuple) and all(map(isinstance, p, repeat(Demand))),
     MessageKind.CFP_SINGLE: lambda p: isinstance(p, Demand),
     MessageKind.CPU_OFFER: lambda p: isinstance(p, CoordinatorReply) and p.offer is not None,
     MessageKind.CPU_NO_OFFER: lambda p: isinstance(p, CoordinatorReply) and p.offer is None,
@@ -252,28 +252,13 @@ class HandlerContext:
     capacities: Mapping[str, int]
 
 
-class HandlerResult:
+class HandlerResult(NamedTuple):
     """A handler's complete outcome: new state, sends, awards, violation."""
 
-    __slots__ = ("state", "sends", "allocations", "violation")
-
-    def __init__(
-        self, state: AgentState, sends: list[tuple[Message, float]] | None = None,
-        allocations: list[Allocation] | None = None, violation: str | None = None,
-    ):
-        self.state = state
-        self.sends = [] if sends is None else sends
-        self.allocations = [] if allocations is None else allocations
-        self.violation = violation
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HandlerResult):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"HandlerResult({fields})"
+    state: AgentState
+    sends: Sequence[tuple[Message, float]] = ()
+    allocations: Sequence[Allocation] = ()
+    violation: str | None = None
 
 
 def assign_offers(
@@ -331,11 +316,8 @@ def _answer(
     if ask.due > 1:
         return Ask(ask.demands, ask.due - 1, offers), [], 0.0
     real = _in_order(offers)
-    allocations, _unserved = assign_offers(
-        rank_offers(real, ctx.weights),
-        [(d.su_id, d.channels_requested) for d in ask.demands],
-        ctx.capacities,
-    )
+    ranked = rank_offers(real, ctx.weights)
+    allocations, _unserved = assign_offers(ranked, ask.demands, ctx.capacities)
     return None, allocations, ctx.timing.rank_per_offer * len(real)
 
 

@@ -135,7 +135,7 @@ class TestStep:
     def test_delivery_to_unknown_agent_fails(self):
         world = World(reference_scenario((1,)))
         bogus = Message(MessageKind.SU_REQUEST, "ghost1", "ghost2", Demand("ghost1", 1))
-        world._schedule(0.0, bogus)
+        world._enqueue([(bogus, 0.0)])
         with pytest.raises(ValueError, match="unknown agent"):
             for _ in range(30):
                 world.step()
@@ -143,7 +143,7 @@ class TestStep:
     def test_handler_violation_is_recorded(self):
         # pu0 never handles an SuReply; the kernel records what its handler says
         world = World(direct_scenario())
-        world._schedule(0.0, Message(MessageKind.SU_REPLY, "su0", "pu0", None))
+        world._enqueue([(Message(MessageKind.SU_REPLY, "su0", "pu0", None), 0.0)])
         while world.pending:
             world.step()
         assert world.violations == ["t=0: unexpected SuReply at 'pu0'"]
@@ -190,7 +190,7 @@ class TestStep:
         world = World(reference_scenario((1,)))
         offer = world.states["pu000"]  # a PU's state is its Offer
         extra = Message(MessageKind.PARAM_UPDATE, "pu000", offer.cpu_id, offer)
-        world._schedule(0.0, extra)
+        world._enqueue([(extra, 0.0)])
         world.sent += 1
         with pytest.raises(RuntimeError, match="sent 28, delivered 28, closed form 27"):
             world.run_to_quiescence()
@@ -208,7 +208,7 @@ class TestStep:
 
 def wake_unknown_agent():
     world = World(direct_scenario())
-    world._schedule(0.0, "ghost")
+    world._enqueue([("ghost", 0.0)])
     while world.pending:
         world.step()
 
@@ -288,7 +288,8 @@ class TestRun:
             world.run_to_quiescence()
         # the cap counts logged events, and the message names what is still queued
         assert len(world.event_log) == 3
-        assert f"with {world.pending} events pending" in str(raised.value)
+        assert "with 13 events pending" in str(raised.value)
+        assert world.pending == 13
 
     def test_clock_is_monotone(self):
         report = run(reference_scenario((5, 5, 5)))
@@ -503,6 +504,10 @@ def test_property_log_equals_its_rows_appended_one_by_one(variant, data):
     world, clocks = World(scenario), []
     while world.pending:
         clocks.append(repr(world.step().clock))
+        # pending is derived from the seq and the log: it must equal what is queued
+        queued = sum(len(events) for _, _, events in world._queue) - world._next
+        assert world.pending == queued
+        assert (world.pending == 0) == (not world._queue)
     log = world.event_log
     # each row is logged at its dispatch time, and every queued seq once
     assert [repr(event.time) for event in log] == clocks

@@ -22,6 +22,7 @@ from specnego.protocol import (
     Ask,
     CoordinatorReply,
     HandlerContext,
+    HandlerResult,
     SecondaryUserState,
     SuCoalitionState,
     SuPhase,
@@ -63,6 +64,11 @@ class TestMessage:
             Message(MessageKind.SU_REQUEST, "a", "b", make_offer("p"))
         with pytest.raises(ValueError, match="payload"):
             Message(MessageKind.CPU_OFFER, "a", "b", CoordinatorReply(None))
+        # a Demand is a tuple, but a tuple of the same fields is not a Demand
+        with pytest.raises(ValueError, match="does not match kind Cfp$"):
+            Message(MessageKind.CFP, "a", "b", (Demand("s", 1), ("s", 1)))
+        with pytest.raises(ValueError, match="does not match kind SuRequest$"):
+            Message(MessageKind.SU_REQUEST, "a", "b", ("a", 1))
 
     def test_accepts_matching_payloads(self):
         Message(MessageKind.CFP, "a", "b", (Demand("s", 1),))
@@ -148,6 +154,31 @@ class TestAssignOffers:
         assign_offers([make_offer("a")], [("s", 2)], capacities)
         assert capacities == {"a": 5}
 
+    def test_demands_assign_as_their_pairs(self):
+        offers = [make_offer("a"), make_offer("b", channels=2)]
+        pairs = [("s1", 3), ("s2", 2), ("s3", 2)]
+        capacities = {"a": 4, "b": 2}
+        by_demand = assign_offers(offers, [Demand(*pair) for pair in pairs], capacities)
+        assert by_demand == assign_offers(offers, pairs, capacities)
+
+
+class TestRecords:
+    def test_field_order(self):
+        assert Demand._fields == ("su_id", "channels_requested")
+        assert HandlerResult._fields == ("state", "sends", "allocations", "violation")
+
+    @pytest.mark.parametrize("record, field", [
+        (Demand("s", 1), "channels_requested"),
+        (HandlerResult(None), "sends"),
+    ])
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+
+    def test_handler_result_defaults(self):
+        state = make_offer("p")
+        assert tuple(HandlerResult(state)) == (state, (), (), None)
+
 
 class TestRankOffers:
     def test_orders_best_first(self):
@@ -182,7 +213,7 @@ class TestSuHandlers:
         message = Message(MessageKind.SU_REPLY, "csu0", "su0", None)
         result = handle(state, message, 9.0, make_ctx())
         assert result.violation is not None and "terminal" in result.violation
-        assert result.state == state and result.sends == []
+        assert result.state == state and not result.sends
 
     def test_reply_with_offer_serves(self):
         state = SecondaryUserState("su0", 2, phase=SuPhase.WAITING)
@@ -199,7 +230,7 @@ class TestSuHandlers:
         first = Message(MessageKind.CPU_OFFER, "a", "su0",
                         CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, first, 20.0, ctx)
-        assert result.state.phase is SuPhase.WAITING and result.allocations == []
+        assert result.state.phase is SuPhase.WAITING and not result.allocations
         second = Message(MessageKind.CPU_OFFER, "b", "su0",
                          CoordinatorReply(make_offer("b", cpu_id="b"), "su0"))
         result = handle(result.state, second, 22.0, ctx)
@@ -213,7 +244,7 @@ class TestSuHandlers:
         message = Message(MessageKind.CPU_OFFER, "a", "su0",
                           CoordinatorReply(make_offer("a", cpu_id="a"), "su0"))
         result = handle(state, message, 20.0, ctx)
-        assert result.state.phase is SuPhase.UNSERVED and result.allocations == []
+        assert result.state.phase is SuPhase.UNSERVED and not result.allocations
         assert result.state.ask is None
 
     def test_no_offer_counts_as_a_reply_but_is_not_ranked(self):
@@ -235,7 +266,7 @@ class TestSuHandlers:
                           CoordinatorReply(make_offer("p0"), "su0"))
         result = handle(state, message, 20.0, make_ctx(capacities={"p0": 4}))
         assert result.violation == "t=20: unexpected CpuOffer at 'su0'"
-        assert result.state is state and result.allocations == []
+        assert result.state is state and not result.allocations
 
     def test_su_reply_to_an_su_asking_itself_is_violation(self):
         ctx = make_ctx(topology="cpu_only", targets=("cpu0",))
@@ -281,7 +312,7 @@ def test_equal_offers_ranked_in_reply_order(asker):
 def test_kind_the_agent_never_handles_is_violation(state, message):
     result = handle(state, message, 7.0, make_ctx())
     assert result.violation == f"t=7: unexpected {message.kind.value} at {message.recipient!r}"
-    assert result.state is state and result.sends == [] and result.allocations == []
+    assert result.state is state and not result.sends and not result.allocations
 
 
 class TestCpuHandlers:
@@ -290,13 +321,13 @@ class TestCpuHandlers:
         message = Message(MessageKind.PARAM_UPDATE, "pu0", "cpu0", make_offer("pu0"))
         result = handle(state, message, 0.0, make_ctx())
         assert result.state.entries["pu0"].channels == 4
-        assert result.sends == []
+        assert not result.sends
 
     def test_param_update_for_another_pu_is_a_violation(self):
         state = ParamRegistry("cpu0", ("pu0", "pu1"))
         message = Message(MessageKind.PARAM_UPDATE, "pu1", "cpu0", make_offer("pu0"))
         result = handle(state, message, 0.0, make_ctx())
-        assert result.state is state and result.sends == []
+        assert result.state is state and not result.sends
         assert result.violation == "t=0: ParamUpdate from 'pu1' for another PU at 'cpu0'"
 
     @pytest.mark.parametrize("offer, detail", [
@@ -308,7 +339,7 @@ class TestCpuHandlers:
         message = Message(MessageKind.PARAM_UPDATE, offer.pu_id, "cpu0", offer)
         result = handle(state, message, 3.0, make_ctx())
         assert result.violation == f"t=3: {detail} at 'cpu0'"
-        assert result.state is state and result.sends == [] and result.allocations == []
+        assert result.state is state and not result.sends and not result.allocations
 
     def test_cfp_yields_exactly_one_offer_after_select_delay(self):
         registry = ParamRegistry("cpu0", ("a", "b", "c"))
@@ -385,7 +416,7 @@ class TestCsuHandlers:
         ctx = make_ctx()
         message = Message(MessageKind.SU_REQUEST, "su0", "csu0", Demand("su0", 2))
         result = handle(state, message, 10.0, ctx)
-        assert result.sends == [] and result.state.asked == 0b01 and result.state.asks == {}
+        assert not result.sends and result.state.asked == 0b01 and result.state.asks == {}
         message = Message(MessageKind.SU_REQUEST, "su1", "csu0", Demand("su1", 1))
         result = handle(result.state, message, 110.0, ctx)
         assert result.state.asked == 0b11 and set(result.state.asks) == {None}
@@ -408,7 +439,7 @@ class TestCsuHandlers:
                 CoordinatorReply(make_offer(f"p{k}", cpu_id=cpu_ids[k])),
             )
             result = handle(state, message, 37.0, ctx)
-            assert result.sends == []
+            assert not result.sends
             state = result.state
         final = Message(
             MessageKind.CPU_OFFER, cpu_ids[4], "csu0",
@@ -498,7 +529,7 @@ class TestCsuHandlers:
         state, ctx = self.per_demand_coalition()
         result = handle(state, self.offer_for("su9"), 120.0, ctx)
         assert result.violation == "t=120: CpuOffer for ask 'su9', which is not open at 'csu0'"
-        assert result.state is state and result.sends == [] and result.allocations == []
+        assert result.state is state and not result.sends and not result.allocations
 
     def test_duplicate_reply_for_settled_demand_is_violation(self):
         state, ctx = self.per_demand_coalition()
@@ -508,7 +539,7 @@ class TestCsuHandlers:
         assert len(result.allocations) == 1 and set(state.asks) == {"su1"}
         late = handle(state, self.offer_for("su0", "cpu1"), 121.0, ctx)
         assert late.violation == "t=121: CpuOffer for ask 'su0', which is not open at 'csu0'"
-        assert late.allocations == [] and late.sends == []
+        assert not late.allocations and not late.sends
         assert late.state is state
         assert late.state.asked == 0b11
 
@@ -519,7 +550,7 @@ class TestCsuHandlers:
         state = handle(state, message, 10.0, ctx).state
         result = handle(state, self.offer_for(None), 20.0, ctx)
         assert result.violation == "t=20: CpuOffer for ask None, which is not open at 'csu0'"
-        assert result.state is state and result.sends == [] and result.allocations == []
+        assert result.state is state and not result.sends and not result.allocations
 
     def test_per_demand_reply_to_a_batch_is_violation(self):
         # an aggregated coalition's open batch is settled only by a batch reply
@@ -528,7 +559,7 @@ class TestCsuHandlers:
         assert set(state.asks) == {None}
         result = handle(state, self.offer_for("su0"), 20.0, ctx)
         assert result.violation == "t=20: CpuOffer for ask 'su0', which is not open at 'csu0'"
-        assert result.state is state and result.sends == [] and result.allocations == []
+        assert result.state is state and not result.sends and not result.allocations
 
     @pytest.mark.parametrize("aggregation", [True, False])
     def test_settled_ask_is_dropped(self, aggregation):
@@ -553,7 +584,7 @@ class TestCsuHandlers:
         state = handle(state, self.request("su0000"), 10.0, ctx).state
         again = handle(state, self.request("su0000"), 20.0, ctx)
         assert again.violation == "t=20: second SuRequest from 'su0000' at 'csu0'"
-        assert again.state is state and again.sends == [] and again.allocations == []
+        assert again.state is state and not again.sends and not again.allocations
         assert state.asked == 0b01
         assert (state.requests != ()) is aggregation  # per demand, no request is kept
         # the other member's request still completes the coalition
@@ -580,7 +611,7 @@ class TestCsuHandlers:
             for state in (fresh, done):  # before and after every member has asked
                 result = handle(state, self.request(stranger), 30.0, ctx)
                 assert result.violation == f"t=30: SuRequest from non-member {stranger!r} at 'csu0'"
-                assert result.state is state and result.sends == []
+                assert result.state is state and not result.sends
         assert fresh.asked == 0 and fresh.requests == ()
 
     def test_batch_orders_demands_by_arrival_then_id(self):
@@ -601,7 +632,7 @@ class TestCsuHandlers:
         state = SuCoalitionState("csu0", ("su0000", "su0001"))
         result = handle(state, self.request("su0001", "su0000"), 10.0, ctx)
         assert result.violation == "t=10: SuRequest from 'su0001' for another SU at 'csu0'"
-        assert result.state is state and result.sends == []
+        assert result.state is state and not result.sends
 
     def test_handler_is_pure(self):
         state = SuCoalitionState("csu0", ("su0",))
