@@ -26,10 +26,12 @@ once per run, and per event a sender, a recipient (agent ids interned in a
 first-seen table) and a payload code, about 9 bytes per event plus 16 per
 run and never more than 25 per event, so a simulation near the 10M-event
 cap keeps its log in about 90 MB (250 MB if no two events shared a run).
-Rows read back as :class:`LoggedEvent`. The event cap counts logged
-events: every dispatched event is logged first, so the events pending are
-those queued less those logged. Only a queue run's first event goes through
-the log's merge rule; its later events continue the run.
+One walk over the runs, which scans the codes a chunk at a time for run
+starts, reads the log back: as :class:`LoggedEvent` rows, or a run at a time
+for ``events.jsonl``. The event cap counts logged events: every dispatched
+event is logged first, so the events pending are those queued less those
+logged. Only a queue run's first event goes through the log's merge rule;
+its later events continue the run.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, count, islice
-from operator import add
+from itertools import chain, compress, count, pairwise
 from types import MappingProxyType
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .coalitions import ParamRegistry
 from .model import Offer, Scenario, expected_messages, validate
@@ -87,12 +88,13 @@ class LoggedEvent(NamedTuple):
 
 # An event's payload code: 0 for a wake, 1 + the MessageKind's position for a
 # delivery, plus _FIRST on the first event of a run. The code alone gives the
-# event's (kind, payload_kind): _KINDS[code % _FIRST].
+# event's (kind, payload_kind): EventLog.KINDS[code].
 _CODES: dict[MessageKind | None, int] = {None: 0}
 _CODES.update((kind, code) for code, kind in enumerate(MessageKind, 1))
 _KINDS = ((AGENT_WAKE, None),) + tuple((DELIVER, kind.value) for kind in MessageKind)
 _FIRST = len(_KINDS)
-_STARTS = bytes(_FIRST) + bytes([1]) * _FIRST  # code -> 1 on a run's first event
+_STARTS = bytes(_FIRST) + bytes([1]) * (256 - _FIRST)  # code -> 1 on a run's first event
+_CHUNK = 1 << 16  # codes scanned for run starts at a time
 
 
 def _same_time(a: float, b: float) -> bool:
@@ -118,11 +120,12 @@ class EventLog:
     event's row (row i of the run has seq i + offset); per event, typed
     columns of sender, recipient and payload code. Reads back as a sequence
     of :class:`LoggedEvent`: ``len``, iteration, integer indexing (which walks
-    the rows before the index) and ``==``. Two logs are equal when their rows
-    are.
+    the runs before the index) and ``==``; or a run at a time, by :meth:`runs`.
+    Two logs are equal when their rows are.
     """
 
     __slots__ = ("_times", "_offsets", "_senders", "_recipients", "_codes", "_ids")
+    KINDS = _KINDS * 2  # (kind, payload_kind) by payload code
 
     def __init__(self) -> None:
         self._times = array("d")
@@ -160,16 +163,17 @@ class EventLog:
         if not -n <= i < n:
             raise IndexError("event log index out of range")
         i %= n
-        run = next(islice(self._runs(), i, None))
-        ids = list(self._ids)
-        kind, payload_kind = _KINDS[self._codes[i] % _FIRST]
-        return LoggedEvent(
-            self._times[run], i + self._offsets[run], kind,
-            ids[self._senders[i]], ids[self._recipients[i]], payload_kind,
-        )
+        time, seq, start, _ = next(run for run in self._runs(n) if i < run[3])
+        ids, (kind, payload_kind) = self.ids, self.KINDS[self._codes[i]]
+        sender, recipient = ids[self._senders[i]], ids[self._recipients[i]]
+        return LoggedEvent(time, seq + i - start, kind, sender, recipient, payload_kind)
 
     def __iter__(self) -> Iterator[LoggedEvent]:
-        return map(LoggedEvent._make, self.rows(lambda value: value))
+        ids, kinds = self.ids, self.KINDS
+        for time, rows in self.runs(len(self)):
+            for seq, code, sender, recipient in rows:
+                kind, payload_kind = kinds[code]
+                yield LoggedEvent(time, seq, kind, ids[sender], ids[recipient], payload_kind)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
@@ -186,29 +190,37 @@ class EventLog:
         codes, code = self._codes.tobytes(), _CODES[payload]
         return codes.count(code) + codes.count(code + _FIRST)
 
-    def _runs(self) -> Iterator[int]:
-        """Each row's run index, lazily."""
-        runs = accumulate(map(_STARTS.__getitem__, self._codes), initial=-1)
-        next(runs)  # the initial value, before the first row
-        return runs
-
-    def rows(self, encode: Callable[[str | None], object]) -> Iterator[tuple]:
-        """Every row as ``(time, seq, kind, sender, recipient, payload_kind)``, lazily.
-
-        Each string field is ``encode`` of its value, called once per distinct
-        value per call rather than once per row.
-        """
-        ids = [encode(agent_id) for agent_id in self._ids]
-        kinds = [encode(kind) for kind, _ in _KINDS] * 2
-        payloads = [encode(payload_kind) for _, payload_kind in _KINDS] * 2
-        return zip(
-            map(self._times.__getitem__, self._runs()),
-            map(add, count(), map(self._offsets.__getitem__, self._runs())),
-            map(kinds.__getitem__, self._codes),
-            map(ids.__getitem__, self._senders),
-            map(ids.__getitem__, self._recipients),
-            map(payloads.__getitem__, self._codes),
+    def _runs(self, size: int) -> Iterator[tuple[float, int, int, int]]:
+        """Each run as ``(time, first seq, first row, end row)``, lazily, cut at
+        every multiple of ``size`` rows; no whole column is copied to find them."""
+        codes = self._codes
+        starts = chain.from_iterable(
+            compress(count(i), codes[i:i + _CHUNK].tobytes().translate(_STARTS))
+            for i in range(0, len(codes), _CHUNK)
         )
+        bounds = pairwise(chain(starts, (len(codes),)))
+        for time, offset, (start, end) in zip(self._times, self._offsets, bounds):
+            while start < end:
+                stop = min(end, start - start % size + size)
+                yield time, start + offset, start, stop
+                start = stop
+
+    @property
+    def ids(self) -> list[str]:
+        """The agent ids, by the index a row gives them."""
+        return list(self._ids)
+
+    def runs(self, size: int) -> Iterator[tuple[float, Iterator[tuple[int, int, int, int]]]]:
+        """Each run as ``(time, rows)``, lazily, cut at every multiple of ``size`` rows.
+
+        A row is ``(seq, code, sender, recipient)``: ``KINDS[code]`` is its
+        ``(kind, payload_kind)``, and ``ids[sender]`` is its sender's id.
+        """
+        for time, seq, start, stop in self._runs(size):
+            yield time, zip(
+                range(seq, seq + stop - start), self._codes[start:stop],
+                self._senders[start:stop], self._recipients[start:stop],
+            )
 
 
 @dataclass

@@ -9,12 +9,15 @@ which :func:`export_report` writes as they are made, so the whole text of a
 long run is never held. :func:`render_events_jsonl`, which must return the text,
 holds it once: it grows one string block by block (``+=``) instead of
 joining a list of every block, which would hold the text twice.
+Profile it with ``perfbench/run.py --trace 1``, not cProfile or coverage: on
+CPython 3.11 that ``+=`` copies the text so far while ``sys.setprofile`` or
+``sys.settrace`` is active (a 401,000-event log took 5-9 s to render under a
+no-op ``sys.setprofile``, against 0.2-0.7 s without, on a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -66,17 +69,26 @@ def _event_blocks(report: RunReport) -> Iterator[str]:
     """``events.jsonl`` in blocks of ``EVENT_BLOCK`` lines.
 
     Each line is one compact JSON object, byte for byte what ``json.dumps``
-    writes: every distinct string is encoded once, and a time is its
-    ``repr``, as ``json`` writes a finite float. The kernel never logs a
-    non-finite time: it raises on overflow instead.
+    writes, built by one f-string from parts made once per run, per payload
+    code or per agent id. A time is its ``repr``, as ``json`` writes a finite
+    float; the kernel never logs an inf time. A block may hold many runs.
     """
-    rows = report.event_log.rows(json.dumps)
-    while block := "".join([
-        f'{{"time":{time!r},"seq":{seq},"kind":{kind},"from":{sender},"to":{recipient},'
-        f'"payload_kind":{payload_kind}}}\n'
-        for time, seq, kind, sender, recipient, payload_kind in islice(rows, EVENT_BLOCK)
-    ]):
-        yield block
+    size, log, dumps = EVENT_BLOCK, report.event_log, json.dumps
+    heads = [f',"kind":{dumps(kind)},"from":' for kind, _ in log.KINDS]
+    tails = [f',"payload_kind":{dumps(payload_kind)}}}\n' for _, payload_kind in log.KINDS]
+    ids = list(map(dumps, log.ids))
+    block = []
+    for time, rows in log.runs(size):
+        prefix = f'{{"time":{time!r},"seq":'
+        block += [
+            f'{prefix}{seq}{heads[code]}{ids[sender]},"to":{ids[recipient]}{tails[code]}'
+            for seq, code, sender, recipient in rows
+        ]
+        if len(block) == size:  # the log cuts its runs at every multiple of size
+            yield "".join(block)
+            block = []
+    if block:
+        yield "".join(block)
 
 
 def render_events_jsonl(report: RunReport) -> str:
@@ -89,7 +101,8 @@ def render_events_jsonl(report: RunReport) -> str:
     memory: CPython resizes a string in place when the left operand's
     variable holds its only reference, and a buffer this large is grown by
     ``realloc`` without a copy. An interpreter without that optimization
-    writes the same text, only with more time and memory.
+    writes the same text, only with more time and memory; so does CPython
+    3.11 under cProfile or coverage (see the module docstring).
     ``tests/test_cli.py`` pins the bound.
     """
     text = ""

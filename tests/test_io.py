@@ -1,6 +1,7 @@
 """Scenario/matrix file handling and export determinism tests."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -31,7 +32,7 @@ from specnego import (
     topsis,
     validate,
 )
-from specnego import charts, reports
+from specnego import charts, kernel, reports
 from specnego.charts import render_chart
 from specnego.cli import EXIT_VALIDATION, main
 from specnego.experiments import MetricsTable, experiment_spec, run_experiment
@@ -301,13 +302,15 @@ EVENT_ROWS = st.lists(st.tuples(
 @st.composite
 def event_runs(draw):
     """Rows in runs, as the kernel logs them: consecutive seqs at one time,
-    then a seq gap, a new time, or both; -0.0 and 0.0 are different times."""
+    then a seq gap, a new time, or both; -0.0 and 0.0 are different times.
+    A run may be longer than the largest patched ``EVENT_BLOCK`` (4), so
+    block edges fall both inside runs and between them."""
     seq = draw(st.integers(0, 2**62))
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         time = draw(st.sampled_from([-0.0, 0.0, 2.5]) | st.floats(allow_nan=False,
                                                                   allow_infinity=False))
-        for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 9))):
             rows.append((time, seq, draw(AGENT_IDS), draw(AGENT_IDS),
                          draw(st.sampled_from([None, *MessageKind]))))
             seq += 1
@@ -315,9 +318,9 @@ def event_runs(draw):
     return rows
 
 
-@given(EVENT_ROWS | event_runs(), st.integers(1, 4))
+@given(EVENT_ROWS | event_runs(), st.integers(1, 4), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
-def test_event_log_reads_back_its_rows(rows, block):
+def test_event_log_reads_back_its_rows(rows, block, chunk):
     log, again = EventLog(), EventLog()
     for row in rows:
         log.append(*row)
@@ -328,13 +331,24 @@ def test_event_log_reads_back_its_rows(rows, block):
         for time, seq, sender, recipient, payload in rows
     ]
     n = len(expected)
-    assert len(log) == n
-    assert list(log) == expected
-    assert [log[i] for i in range(n)] == expected
-    assert [log[i - n] for i in range(n)] == expected
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            log[i]
+    # the log scans its codes for run starts a few at a time, so runs
+    # straddle the edges of those chunks
+    with mock.patch.object(kernel, "_CHUNK", chunk):
+        assert len(log) == n
+        assert list(log) == expected
+        assert [log[i] for i in range(n)] == expected
+        assert [log[i - n] for i in range(n)] == expected
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        # rendered in blocks of a few lines, so block edges fall inside runs
+        with mock.patch.object(reports, "EVENT_BLOCK", block):
+            blocks = list(reports._event_blocks(report_with_log(log)))
+            assert render_events_jsonl(report_with_log(log)) == json_dumps_lines(expected)
+    assert "".join(blocks) == json_dumps_lines(expected)
+    # every block is full but the last (json escapes a newline inside an id)
+    full, last = divmod(n, block)
+    assert [text.count("\n") for text in blocks] == [block] * full + [last] * (last > 0)
     assert log == again
     if rows:
         shorter, changed = EventLog(), EventLog()
@@ -344,9 +358,24 @@ def test_event_log_reads_back_its_rows(rows, block):
         time, seq, *rest = rows[-1]
         changed.append(time, seq ^ 1, *rest)
         assert log != shorter and log != changed
-    # rendered in blocks of a few lines, so rows cross block boundaries
-    with mock.patch.object(reports, "EVENT_BLOCK", block):
-        assert render_events_jsonl(report_with_log(log)) == json_dumps_lines(expected)
+
+
+def test_events_jsonl_of_a_burst_longer_than_a_block(tmp_path):
+    # every SU arrives at t=0, so 200 SUs x 20 PUs make one CFP run of 4,000
+    # events, which the default EVENT_BLOCK splits
+    scenario = generate_scenario("no_coalition", 20, 0, (200,), seed=1)
+    scenario = dataclasses.replace(scenario, sus=tuple(
+        dataclasses.replace(su, arrival_time=0.0) for su in scenario.sus
+    ))
+    report = run(scenario)
+    cfps = [e for e in report.event_log if e.payload_kind == MessageKind.CFP_SINGLE.value]
+    assert len(cfps) == 4000 > reports.EVENT_BLOCK
+    assert {event.time for event in cfps} == {cfps[0].time}
+    assert [event.seq for event in cfps] == list(range(cfps[0].seq, cfps[0].seq + 4000))
+    text = render_events_jsonl(report)
+    assert text == json_dumps_lines(report.event_log)
+    export_report(report, tmp_path)
+    assert (tmp_path / "events.jsonl").read_bytes() == text.encode("utf-8")
 
 
 class TestReportExports:
