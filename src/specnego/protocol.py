@@ -36,10 +36,11 @@ PU capacities, metric counters) is applied by the kernel from the returned
 
 The records built on every event (:class:`Demand`, :class:`Message`,
 :class:`CoordinatorReply`, :class:`Ask`, :class:`SecondaryUserState`,
-:class:`SuCoalitionState`, :class:`HandlerResult`) are named tuples: each
-builds in a third to two thirds of a frozen dataclass's time, and dispatch is
-little else. The handlers build them with their constructors, positionally,
-rather than through ``_replace`` or keywords, which cost up to twice as much.
+:class:`SuCoalitionState`, :class:`HandlerResult`) are named tuples. Their
+constructors are the API. Hot handler sites skip the generated ``__new__`` with
+``tuple.__new__(Record, fields)``, every field in ``_fields`` order (a test of
+the records' arity and order guards this); :meth:`Message.fan_out` checks the
+messages of a fan-out once.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ class CoordinatorReply(NamedTuple):
     demand_ref: str | None = None
 
 
+_new = tuple.__new__  # builds a named tuple from its fields, as its _make does
+
 # The payload check of each message kind.
 _PAYLOAD_RULES: dict[MessageKind, Callable[[object], bool]] = {
     MessageKind.PARAM_UPDATE: lambda p: isinstance(p, Offer),
@@ -146,6 +149,19 @@ class Message(_MessageFields):
         if not _PAYLOAD_RULES[kind](payload):
             raise ValueError(f"payload {payload!r} does not match kind {kind.value}")
         return tuple.__new__(cls, (kind, sender, recipient, payload))
+
+    @classmethod
+    def fan_out(
+        cls, kind: MessageKind, sender: str, recipients: Sequence[str], payload, delay: float
+    ) -> list[tuple[Message, float]]:
+        """``[(Message(kind, sender, to, payload), delay) for to in recipients]``, checked once."""
+        if not recipients:
+            return []
+        sends = [(cls(kind, sender, recipients[0], payload), delay)]
+        if sender in recipients:  # the rest differ from the first only in recipient
+            raise ValueError(f"message from {sender!r} to itself")
+        sends += [(_new(cls, (kind, sender, to, payload)), delay) for to in recipients[1:]]
+        return sends
 
     @classmethod
     def _make(cls, fields) -> "Message":  # so that _replace() checks its result too
@@ -305,7 +321,7 @@ def _in_order(chain: tuple) -> list:
 
 def _answer(
     ask: Ask, offer: Offer | None, ctx: HandlerContext
-) -> tuple[Ask | None, list[Allocation], float]:
+) -> tuple[Ask | None, Sequence[Allocation], float]:
     """Add a reply (None for no offer): returns (still-open ask, allocations, delay).
 
     The last reply settles the ask (returned as None): its real offers are
@@ -314,7 +330,7 @@ def _answer(
     """
     offers = ask.offers if offer is None else (offer, ask.offers)
     if ask.due > 1:
-        return Ask(ask.demands, ask.due - 1, offers), [], 0.0
+        return _new(Ask, (ask.demands, ask.due - 1, offers)), (), 0.0
     real = _in_order(offers)
     ranked = rank_offers(real, ctx.weights)
     allocations, _unserved = assign_offers(ranked, ask.demands, ctx.capacities)
@@ -329,19 +345,21 @@ def handle_wake(state: AgentState, now: float, ctx: HandlerContext) -> HandlerRe
         return _violation(state, state.agent_id, f"wake in phase {state.phase.value}", now)
 
     me, requested = state.agent_id, state.channels_requested
-    demand = Demand(me, requested)
+    demand = _new(Demand, (me, requested))
     if ctx.plan.wiring.su_coalitions:
         # The SU-coalition asks for this SU and answers it with an SuReply.
         request = Message(MessageKind.SU_REQUEST, me, ctx.plan.csu_of_su[me], demand)
-        return HandlerResult(SecondaryUserState(me, requested, SuPhase.WAITING), [(request, 0.0)])
+        waiting = _new(SecondaryUserState, (me, requested, SuPhase.WAITING, None, None))
+        return _new(HandlerResult, (waiting, [(request, 0.0)], (), None))
     # The SU asks the plan's targets itself.
     targets = ctx.plan.targets
     if not targets:
         # nobody to query (e.g. no PUs exist): the request dies immediately
         return HandlerResult(SecondaryUserState(me, requested, SuPhase.UNSERVED, None, now))
-    sends = [(Message(MessageKind.CFP_SINGLE, me, to, demand), 0.0) for to in targets]
-    ask = Ask((demand,), len(targets))
-    return HandlerResult(SecondaryUserState(me, requested, SuPhase.WAITING, ask), sends)
+    sends = Message.fan_out(MessageKind.CFP_SINGLE, me, targets, demand, 0.0)
+    ask = _new(Ask, ((demand,), len(targets), ()))
+    waiting = _new(SecondaryUserState, (me, requested, SuPhase.WAITING, ask, None))
+    return _new(HandlerResult, (waiting, sends, (), None))
 
 
 def handle(state: AgentState, msg: Message, now: float, ctx: HandlerContext) -> HandlerResult:
@@ -363,8 +381,8 @@ def _handle_pu(state: Offer, msg: Message, now: float, ctx: HandlerContext) -> H
             state = Offer(me, state.cpu_id, capacity, state.price, state.alloc_time)
         offer = state
     kind = MessageKind.CPU_NO_OFFER if offer is None else MessageKind.CPU_OFFER
-    reply = Message(kind, me, msg.sender, CoordinatorReply(offer, msg.payload.su_id))
-    return HandlerResult(state, [(reply, ctx.timing.pu_reply)])
+    reply = Message(kind, me, msg.sender, _new(CoordinatorReply, (offer, msg.payload.su_id)))
+    return _new(HandlerResult, (state, [(reply, ctx.timing.pu_reply)], (), None))
 
 
 def _handle_cpu(
@@ -375,15 +393,15 @@ def _handle_cpu(
         if msg.payload.pu_id != msg.sender:
             return _violation(state, me, f"ParamUpdate from {msg.sender!r} for another PU", now)
         try:
-            return HandlerResult(register_params(state, msg.payload))
+            return _new(HandlerResult, (register_params(state, msg.payload), (), (), None))
         except ValueError as exc:  # a non-member, or an offer for another coordinator
             return _violation(state, me, str(exc), now)
     if msg.kind in (MessageKind.CFP, MessageKind.CFP_SINGLE):
         ref = msg.payload.su_id if msg.kind is MessageKind.CFP_SINGLE else None
         offer = best_offer(state, ctx.weights)
         kind = MessageKind.CPU_NO_OFFER if offer is None else MessageKind.CPU_OFFER
-        reply = Message(kind, me, msg.sender, CoordinatorReply(offer, ref))
-        return HandlerResult(state, [(reply, ctx.timing.cpu_select)])
+        reply = Message(kind, me, msg.sender, _new(CoordinatorReply, (offer, ref)))
+        return _new(HandlerResult, (state, [(reply, ctx.timing.cpu_select)], (), None))
     return _violation(state, me, f"unexpected {msg.kind.value}", now)
 
 
@@ -410,15 +428,17 @@ def _handle_csu(
         else:
             requests = ((now, demand), requests)
             if asked != (1 << len(members)) - 1:
-                return HandlerResult(SuCoalitionState(me, members, asked, requests, asks))
+                pending = _new(SuCoalitionState, (me, members, asked, requests, asks))
+                return _new(HandlerResult, (pending, (), (), None))
             # Last expected demand: ask about the whole batch in one CFP.
             by_arrival = sorted(_in_order(requests), key=lambda td: (td[0], td[1].su_id))
             kind, key = MessageKind.CFP, None
             payload = demands = tuple(d for _, d in by_arrival)
         delay = ctx.timing.agg_per_demand * len(demands)
-        sends = [(Message(kind, me, cpu, payload), delay) for cpu in ctx.plan.targets]
-        asks = {**asks, key: Ask(demands, len(ctx.plan.targets))}
-        return HandlerResult(SuCoalitionState(me, members, asked, (), asks), sends)
+        sends = Message.fan_out(kind, me, ctx.plan.targets, payload, delay)
+        asks = {**asks, key: _new(Ask, (demands, len(ctx.plan.targets), ()))}
+        asking = _new(SuCoalitionState, (me, members, asked, (), asks))
+        return _new(HandlerResult, (asking, sends, (), None))
 
     if msg.kind not in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
         return _violation(state, me, f"unexpected {msg.kind.value}", now)
@@ -430,7 +450,8 @@ def _handle_csu(
     still_open, allocations, delay = _answer(ask, reply.offer, ctx)
     if still_open is not None:
         asks = {**asks, key: still_open}
-        return HandlerResult(SuCoalitionState(me, members, asked, requests, asks))
+        waiting = _new(SuCoalitionState, (me, members, asked, requests, asks))
+        return _new(HandlerResult, (waiting, (), (), None))
     # Every coordinator has answered: answer each member the ask concerns.
     granted = {a.su_id: a.offer for a in allocations}
     sends = [
@@ -438,13 +459,14 @@ def _handle_csu(
         for d in ask.demands
     ]
     asks = {k: a for k, a in asks.items() if k != key}
-    return HandlerResult(SuCoalitionState(me, members, asked, requests, asks), sends, allocations)
+    settled = _new(SuCoalitionState, (me, members, asked, requests, asks))
+    return _new(HandlerResult, (settled, sends, allocations, None))
 
 
 def _handle_su(
     state: SecondaryUserState, msg: Message, now: float, ctx: HandlerContext
 ) -> HandlerResult:
-    me = state.agent_id
+    me, requested = state.agent_id, state.channels_requested
     if state.phase is not SuPhase.WAITING:
         where = "phase" if state.phase is SuPhase.IDLE else "terminal phase"
         return _violation(state, me, f"{msg.kind.value} in {where} {state.phase.value}", now)
@@ -452,17 +474,18 @@ def _handle_su(
     ask = state.ask
     if ask is None and msg.kind is MessageKind.SU_REPLY:
         # The SU-coalition asked for this SU: its reply is the grant or None.
-        allocations, served, completed_at = [], msg.payload is not None, now
+        allocations, served, completed_at = (), msg.payload is not None, now
     elif ask is not None and msg.kind in (MessageKind.CPU_OFFER, MessageKind.CPU_NO_OFFER):
         ask, allocations, delay = _answer(ask, msg.payload.offer, ctx)
         if ask is not None:
-            return HandlerResult(SecondaryUserState(me, state.channels_requested, state.phase, ask))
+            waiting = _new(SecondaryUserState, (me, requested, SuPhase.WAITING, ask, None))
+            return _new(HandlerResult, (waiting, (), (), None))
         served, completed_at = bool(allocations), now + delay
     else:
         return _violation(state, me, f"unexpected {msg.kind.value}", now)
     phase = SuPhase.SERVED if served else SuPhase.UNSERVED
-    new_state = SecondaryUserState(me, state.channels_requested, phase, None, completed_at)
-    return HandlerResult(new_state, allocations=allocations)
+    done = _new(SecondaryUserState, (me, requested, phase, None, completed_at))
+    return _new(HandlerResult, (done, (), allocations, None))
 
 
 # The handler of each agent state type.

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul, sub, truediv
 from typing import Sequence
 
@@ -61,9 +61,7 @@ class DecisionMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
         object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(
-            self, "scores", tuple(tuple(float(x) for x in row) for row in self.scores)
-        )
+        object.__setattr__(self, "scores", tuple(tuple(map(float, row)) for row in self.scores))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "senses", tuple(self.senses))
 
@@ -72,12 +70,14 @@ class DecisionMatrix:
             raise ValueError("decision matrix needs at least one alternative and one criterion")
         if len(self.scores) != m:
             raise ValueError(f"expected {m} score rows, got {len(self.scores)}")
-        for i, row in enumerate(self.scores):
-            if len(row) != n:
-                raise ValueError(f"score row {i} has {len(row)} entries, expected {n}")
-            for j, x in enumerate(row):
-                if not math.isfinite(x):
-                    raise ValueError(f"score[{i}][{j}] is not finite: {x}")
+        rows = self.scores
+        if set(map(len, rows)) != {n} or not all(map(math.isfinite, chain.from_iterable(rows))):
+            for i, row in enumerate(rows):  # name the first defect
+                if len(row) != n:
+                    raise ValueError(f"score row {i} has {len(row)} entries, expected {n}")
+                for j, x in enumerate(row):
+                    if not math.isfinite(x):
+                        raise ValueError(f"score[{i}][{j}] is not finite: {x}")
         if len(self.weights) != n:
             raise ValueError(f"expected {n} weights, got {len(self.weights)}")
         for j, w in enumerate(self.weights):

@@ -360,6 +360,18 @@ def test_event_log_reads_back_its_rows(rows, block, chunk):
         assert log != shorter and log != changed
 
 
+@given(event_runs(), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_event_log_counts_each_kind_a_chunk_at_a_time(rows, chunk):
+    log = EventLog()
+    for row in rows:
+        log.append(*row)
+    # runs, and so first-event codes, straddle the chunk edges
+    with mock.patch.object(kernel, "_CHUNK", chunk):
+        for payload in (None, *MessageKind):
+            assert log.count(payload) == sum(row[4] is payload for row in rows)
+
+
 def test_events_jsonl_of_a_burst_longer_than_a_block(tmp_path):
     # every SU arrives at t=0, so 200 SUs x 20 PUs make one CFP run of 4,000
     # events, which the default EVENT_BLOCK splits

@@ -3,7 +3,9 @@
 import re
 import sys
 from array import array
+from collections.abc import Mapping
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,17 @@ from specnego import (
 )
 from specnego.kernel import AGENT_WAKE, DELIVER, EventLog, LoggedEvent
 from specnego.model import WIRINGS
+from specnego.coalitions import ParamRegistry
+from specnego.model import Offer
 from specnego.protocol import (
-    CoordinatorReply, HandlerResult, SecondaryUserState, SuPhase, handle, handle_wake
+    Ask,
+    CoordinatorReply,
+    HandlerResult,
+    SecondaryUserState,
+    SuCoalitionState,
+    SuPhase,
+    handle,
+    handle_wake,
 )
 from specnego.reports import render_allocations_csv, render_events_jsonl, render_metrics_csv
 
@@ -400,8 +411,10 @@ def override(draw, members, coordinators):
 
 
 @st.composite
-def arbitrary_scenarios(draw):
-    topology = draw(st.sampled_from(tuple(WIRINGS)))
+def arbitrary_scenarios(draw, topology=None, aggregation=None):
+    """A valid scenario; in ``topology`` and ``aggregation`` mode when given."""
+    if topology is None:
+        topology = draw(st.sampled_from(tuple(WIRINGS)))
     wiring = WIRINGS[topology]
     n_pu = draw(st.integers(min_value=0 if topology == "no_coalition" else 1, max_value=6))
     n_su = draw(st.integers(min_value=0, max_value=6))
@@ -443,7 +456,7 @@ def arbitrary_scenarios(draw):
         sus=sus,
         cpu_coordinators=cpu_coordinators,
         csu_coordinators=csu_coordinators,
-        aggregation=draw(st.booleans()),
+        aggregation=draw(st.booleans()) if aggregation is None else aggregation,
         memberships=MembershipOverride(
             cpu=draw(override(pus, cpu_coordinators)),
             csu=draw(override(sus, csu_coordinators)),
@@ -517,3 +530,60 @@ def test_property_log_equals_its_rows_appended_one_by_one(variant, data):
         payload = None if event.payload_kind is None else MessageKind(event.payload_kind)
         rebuilt.append(event.time, event.seq, event.sender, event.recipient, payload)
     assert rebuilt == log
+
+
+# Each per-event record's field types, in _fields order.
+NONE = type(None)
+FIELD_TYPES = {
+    Demand: (str, int),
+    CoordinatorReply: ((Offer, NONE), (str, NONE)),
+    Message: (MessageKind, str, str, object),
+    Ask: (tuple, int, tuple),
+    SecondaryUserState: (str, int, SuPhase, (Ask, NONE), (float, NONE)),
+    SuCoalitionState: (str, tuple, int, tuple, Mapping),
+    HandlerResult: (
+        (Offer, ParamRegistry, SecondaryUserState, SuCoalitionState), (list, tuple),
+        (list, tuple), (str, NONE),
+    ),
+}
+
+
+def check_records(value):
+    """Every record in ``value``, itself included, has all its fields, each of
+    its type, and equals what its constructor (and its checks) rebuild from them."""
+    record_type = type(value)
+    if record_type in FIELD_TYPES:
+        assert len(value) == len(record_type._fields), value
+        assert all(map(isinstance, value, FIELD_TYPES[record_type])), value
+        assert record_type(*value) == value
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            check_records(item)
+    elif isinstance(value, Mapping):
+        for item in value.values():
+            check_records(item)
+
+
+@pytest.mark.parametrize("aggregation", [False, True], ids=["per_demand", "aggregated"])
+@pytest.mark.parametrize("topology", list(WIRINGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_property_handlers_return_whole_records(topology, aggregation, data):
+    # handlers build their records field by field, skipping the constructors:
+    # a field dropped or out of order must not reach the kernel
+    scenario = data.draw(arbitrary_scenarios(topology, aggregation))
+    results = []
+
+    def recorded(handler):
+        def call(*args):
+            results.append(handler(*args))
+            return results[-1]
+        return call
+
+    with mock.patch.object(specnego.kernel, "handle", recorded(handle)), \
+            mock.patch.object(specnego.kernel, "handle_wake", recorded(handle_wake)):
+        report = run(scenario)
+    assert len(results) == len(report.event_log)
+    for result in results:
+        assert type(result) is HandlerResult
+        check_records(result)

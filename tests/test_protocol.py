@@ -113,6 +113,36 @@ class TestMessage:
         assert not hasattr(message, "__dict__")
 
 
+class TestFanOut:
+    DEMAND = Demand("s", 1)
+
+    @pytest.mark.parametrize("recipients", [(), ("b",), ("b", "c", "d")])
+    def test_equals_the_messages_built_one_by_one(self, recipients):
+        sends = Message.fan_out(MessageKind.CFP_SINGLE, "a", recipients, self.DEMAND, 0.5)
+        assert sends == [
+            (Message(MessageKind.CFP_SINGLE, "a", r, self.DEMAND), 0.5) for r in recipients
+        ]
+        assert all(type(message) is Message for message, _ in sends)
+
+    def test_no_recipients_checks_nothing(self):
+        assert Message.fan_out("Cfp", "a", (), None, 0.0) == []
+
+    @pytest.mark.parametrize("kind, recipients, payload", [
+        ("CfpSingle", ("b", "c"), DEMAND),
+        (MessageKind.CFP, ("b", "c"), DEMAND),
+        (MessageKind.CFP_SINGLE, ("a", "b", "c"), DEMAND),
+        (MessageKind.CFP_SINGLE, ("b", "a", "c"), DEMAND),
+        (MessageKind.CFP_SINGLE, ("b", "c", "a"), DEMAND),
+    ], ids=["plain string kind", "payload mismatch", "sender first", "sender in the middle",
+            "sender last"])
+    def test_raises_what_building_one_by_one_raises(self, kind, recipients, payload):
+        with pytest.raises(ValueError) as one_by_one:
+            [Message(kind, "a", r, payload) for r in recipients]
+        with pytest.raises(ValueError) as fanned:
+            Message.fan_out(kind, "a", recipients, payload, 0.0)
+        assert str(fanned.value) == str(one_by_one.value)
+
+
 class TestAssignOffers:
     def test_single_demand_consumes_capacity(self):
         offers = [make_offer("p", channels=5)]
