@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .charts import render_chart
 from .experiments import EXPERIMENT_IDS, STUDIES, experiment_spec, run_experiment
-from .kernel import SimulationCapExceeded, run
+from .kernel import run
 from .matrix_io import closeness_csv, parse_matrix_csv
 from .model import validate
 from .reports import export_report, render_table_csv, write_files
@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
-    except (SimulationCapExceeded, RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -30,8 +30,9 @@ One walk over the runs, which scans the codes a chunk at a time for run
 starts, reads the log back: as :class:`LoggedEvent` rows, or a run at a time
 for ``events.jsonl``. The event cap counts logged events: every dispatched
 event is logged first, so the events pending are those queued less those
-logged. Only a queue run's first event goes through the log's merge rule;
-its later events continue the run.
+logged, and the messages sent are those queued less the SU wakes. Only a
+queue run's first event goes through the log's merge rule; its later events
+continue the run.
 """
 
 from __future__ import annotations
@@ -286,7 +287,6 @@ class World:
             self.states[su.id] = SecondaryUserState(su.id, su.channels_requested)
 
         self.event_log = EventLog()
-        self.sent = 0
         self.allocations: list[Allocation] = []
         self.violations: list[str] = []
 
@@ -297,7 +297,6 @@ class World:
                 (Message(MessageKind.PARAM_UPDATE, offer.pu_id, offer.cpu_id, offer), 0.0)
                 for offer in offers
             ])
-            self.sent += len(offers)
         self._enqueue([(su.id, su.arrival_time) for su in scenario.sus])
 
     def _enqueue(self, events: list, time: float = -0.0, latency: float = -0.0) -> None:
@@ -331,6 +330,11 @@ class World:
     def pending(self) -> int:
         """The number of queued events: those ever queued less those logged on dispatch."""
         return self._seq - len(self.event_log)
+
+    @property
+    def sent(self) -> int:
+        """The number of messages sent: every queued event but the SU wakes."""
+        return self._seq - len(self.scenario.sus)
 
     def step(self) -> "World":
         """Dispatch the single earliest (time, seq) event."""
@@ -374,11 +378,7 @@ class World:
             self.capacities[allocation.offer.pu_id] = remaining
             self.allocations.append(allocation)
         if sends:
-            queued = self._seq
-            try:
-                self._enqueue(sends, time, self._latency)
-            finally:
-                self.sent += self._seq - queued
+            self._enqueue(sends, time, self._latency)
         return self
 
     def run_to_quiescence(self) -> RunReport:

@@ -28,6 +28,7 @@ __all__ = [
     "TimingConstants",
     "MembershipOverride",
     "Scenario",
+    "coalition_sides",
     "validate",
     "check_override",
     "expected_messages",
@@ -181,6 +182,16 @@ class Scenario:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
+def coalition_sides(scenario: Scenario) -> tuple[tuple, tuple]:
+    """The PU side, then the SU side, in :class:`Wiring`'s field order, each as
+    ``(name, agents, coordinators, membership override or None)``."""
+    override = scenario.memberships or MembershipOverride()
+    return (
+        ("cpu", scenario.pus, scenario.cpu_coordinators, override.cpu),
+        ("csu", scenario.sus, scenario.csu_coordinators, override.csu),
+    )
+
+
 def _check_zone(path: str, zone: Zone, out: list[str]) -> None:
     if not (math.isfinite(zone.x) and math.isfinite(zone.y)):
         out.append(f"{path}.zone: coordinates must be finite")
@@ -226,11 +237,16 @@ def validate(scenario: Scenario) -> list[str]:
         if not (math.isfinite(su.arrival_time) and su.arrival_time >= 0):
             out.append(f"sus[{i}].arrival_time: must be >= 0 and finite, got {su.arrival_time}")
 
-    wiring = WIRINGS.get(scenario.topology, ())
-    for kind, formed in zip(("cpu_coordinators", "csu_coordinators"), wiring):
-        if formed != bool(getattr(scenario, kind)):
+    # An unknown topology (reported above) neither requires nor admits coordinators.
+    wiring = WIRINGS.get(scenario.topology, (None, None))
+    for formed, (name, agents, coordinators, override) in zip(wiring, coalition_sides(scenario)):
+        if formed is not None and formed != bool(coordinators):
             need = "requires at least one" if formed else "admits none"
-            out.append(f"{kind}: topology {scenario.topology!r} {need}")
+            out.append(f"{name}_coordinators: topology {scenario.topology!r} {need}")
+        check_override(
+            f"memberships.{name}", override,
+            {c.id for c in coordinators}, {a.id for a in agents}, out,
+        )
 
     if len(scenario.weights) != 3:
         out.append(f"weights: expected 3 values, got {len(scenario.weights)}")
@@ -242,23 +258,6 @@ def validate(scenario: Scenario) -> list[str]:
         if not (math.isfinite(value) and value >= 0):
             out.append(f"timing.{name}: must be >= 0 and finite, got {value}")
     _check_time_bound(scenario, out)
-
-    if scenario.memberships is not None:
-        check_override(
-            "memberships.cpu",
-            scenario.memberships.cpu,
-            {c.id for c in scenario.cpu_coordinators},
-            {p.id for p in scenario.pus},
-            out,
-        )
-        check_override(
-            "memberships.csu",
-            scenario.memberships.csu,
-            {c.id for c in scenario.csu_coordinators},
-            {s.id for s in scenario.sus},
-            out,
-        )
-
     return out
 
 
@@ -270,6 +269,10 @@ def _check_time_bound(scenario: Scenario, out: list[str]) -> None:
     with each hop's largest delay, then adds the delay at which the SU
     completes. Rounding is monotone for non-negative operands, so when this
     bound is finite no event or completion time of the run can be inf.
+
+    It is an upper bound: an aggregated batch holds only its own
+    SU-coalition's members, but it is charged ``agg_per_demand`` for every SU,
+    since the coalitions are formed only when the run starts.
     """
     timing = scenario.timing
     arrivals = [su.arrival_time for su in scenario.sus]

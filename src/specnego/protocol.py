@@ -55,7 +55,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 from .coalitions import (
     Membership, ParamRegistry, best_offer, form_coalitions, rank_offers, register_params
 )
-from .model import WIRINGS, Offer, Scenario, TimingConstants, Wiring
+from .model import WIRINGS, Offer, Scenario, TimingConstants, Wiring, coalition_sides
 
 # Unused here: perfbench/spans.py rebinds protocol.topsis, so the name must exist.
 from .topsis import topsis  # noqa: F401
@@ -234,20 +234,12 @@ class TopologyPlan:
 def topology_plan(scenario: Scenario) -> TopologyPlan:
     """Resolve coalition memberships and whom each ask goes to."""
     wiring = WIRINGS[scenario.topology]
-    cpu_membership: Membership = {}
-    csu_membership: Membership = {}
-    if wiring.pu_coalitions:
-        cpu_membership = form_coalitions(
-            [(pu.id, pu.zone) for pu in scenario.pus],
-            [(c.id, c.zone) for c in scenario.cpu_coordinators],
-            scenario.memberships.cpu if scenario.memberships else None,
-        )
-    if wiring.su_coalitions:
-        csu_membership = form_coalitions(
-            [(su.id, su.zone) for su in scenario.sus],
-            [(c.id, c.zone) for c in scenario.csu_coordinators],
-            scenario.memberships.csu if scenario.memberships else None,
-        )
+    cpu_membership, csu_membership = (
+        form_coalitions(
+            [(a.id, a.zone) for a in agents], [(c.id, c.zone) for c in coordinators], override
+        ) if formed else {}
+        for formed, (_, agents, coordinators, override) in zip(wiring, coalition_sides(scenario))
+    )
     return TopologyPlan(
         wiring=wiring,
         aggregation=scenario.aggregation,

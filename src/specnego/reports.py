@@ -101,8 +101,8 @@ def render_events_jsonl(report: RunReport) -> str:
     memory: CPython resizes a string in place when the left operand's
     variable holds its only reference, and a buffer this large is grown by
     ``realloc`` without a copy. An interpreter without that optimization
-    writes the same text, only with more time and memory; so does CPython
-    3.11 under cProfile or coverage (see the module docstring).
+    writes the same text, only with more time and memory; see the module
+    docstring for what that costs under a profiler.
     ``tests/test_cli.py`` pins the bound.
     """
     text = ""

@@ -158,7 +158,8 @@ class TestStep:
         while world.pending:
             world.step()
         assert world.violations == ["t=0: unexpected SuReply at 'pu0'"]
-        # the injected message was never sent, so the totals cannot agree
+        # the injected message counts as sent and delivered, but the closed
+        # form has no place for it, so the totals cannot agree
         with pytest.raises(RuntimeError, match="message conservation broken"):
             world.report()
 
@@ -196,13 +197,12 @@ class TestStep:
             world.report()
 
     def test_report_checks_the_closed_form(self):
-        # a second registration, counted as sent, so that only the closed
-        # form can tell the total is one message too many
+        # a second registration, queued and so counted as sent, so that only
+        # the closed form can tell the total is one message too many
         world = World(reference_scenario((1,)))
         offer = world.states["pu000"]  # a PU's state is its Offer
         extra = Message(MessageKind.PARAM_UPDATE, "pu000", offer.cpu_id, offer)
         world._enqueue([(extra, 0.0)])
-        world.sent += 1
         with pytest.raises(RuntimeError, match="sent 28, delivered 28, closed form 27"):
             world.run_to_quiescence()
 
@@ -521,6 +521,13 @@ def test_property_log_equals_its_rows_appended_one_by_one(variant, data):
         queued = sum(len(events) for _, _, events in world._queue) - world._next
         assert world.pending == queued
         assert (world.pending == 0) == (not world._queue)
+        # sent is derived from the seq too: each SU's wake is queued or logged
+        # exactly once, so it must equal the deliveries logged and the messages queued
+        done = world._queue[0][2][:world._next] if world._queue else []
+        messages = sum(type(e) is Message for _, _, events in world._queue for e in events)
+        messages -= sum(type(e) is Message for e in done)
+        log = world.event_log
+        assert world.sent == len(log) - log.count(None) + messages
     log = world.event_log
     # each row is logged at its dispatch time, and every queued seq once
     assert [repr(event.time) for event in log] == clocks

@@ -259,6 +259,23 @@ class TestTimeBound:
         aggregated = dataclasses.replace(per_demand, aggregation=True)
         assert [p.split(":")[0] for p in validate(aggregated)] == ["timing"]
 
+    def test_aggregated_bound_charges_every_su(self, monkeypatch):
+        # the bound is an upper one: each batch holds one SU, so the run
+        # charges agg_per_demand once, but validate charges it for both SUs
+        scenario = small_scenario(
+            sus=(SecondaryUser("su0", Zone(1, 10), 2, 0.0),
+                 SecondaryUser("su1", Zone(2, 10), 1, 0.0)),
+            csu_coordinators=(Coordinator("csu0", Zone(0, 10)), Coordinator("csu1", Zone(3, 10))),
+            memberships=MembershipOverride(csu={"csu0": ("su0",), "csu1": ("su1",)}),
+            timing=TimingConstants(agg_per_demand=1e308),
+        )
+        assert scenario.aggregation
+        assert [p.split(":")[0] for p in validate(scenario)] == ["timing"]
+        monkeypatch.setattr("specnego.kernel.validate", lambda scenario: [])
+        report = run(scenario)
+        assert report.quiescent_at == 1e308
+        assert report.total_messages == 9
+
     def test_no_sus_nothing_to_bound(self):
         scenario = small_scenario(sus=(), csu_coordinators=(),
                                   topology="cpu_only",
